@@ -14,7 +14,6 @@
 //! cargo run --release -p sw-bench --bin ablations [--quick]
 //! ```
 
-use rayon::prelude::*;
 use sw_bench::table::render;
 use sw_bench::{analyze_dataset, scene_images, Sweep};
 use sw_bitstream::column_cost;
@@ -54,21 +53,18 @@ fn levels_ablation(images: &[(String, ImageU8)]) {
     println!("E15 — decomposition levels (lossless, bits relative to raw 8 bpp)\n");
     let mut rows = Vec::new();
     for levels in 1..=3usize {
-        let ratios: Vec<f64> = images
-            .par_iter()
-            .map(|(_, img)| {
-                let (w, h) = (img.width(), img.height());
-                let pixels: Vec<Coeff> = img.pixels().iter().map(|&p| p as Coeff).collect();
-                let pyr = decompose(&pixels, w, h, levels);
-                let mut bits = plane_bits(&pyr.top_ll, w >> levels, h >> levels, 0);
-                for d in &pyr.details {
-                    bits += plane_bits(&d.lh, d.w, d.h, 0);
-                    bits += plane_bits(&d.hl, d.w, d.h, 0);
-                    bits += plane_bits(&d.hh, d.w, d.h, 0);
-                }
-                bits as f64 / (w * h * 8) as f64
-            })
-            .collect();
+        let ratios: Vec<f64> = sw_pool::global().par_map(images, |(_, img)| {
+            let (w, h) = (img.width(), img.height());
+            let pixels: Vec<Coeff> = img.pixels().iter().map(|&p| p as Coeff).collect();
+            let pyr = decompose(&pixels, w, h, levels);
+            let mut bits = plane_bits(&pyr.top_ll, w >> levels, h >> levels, 0);
+            for d in &pyr.details {
+                bits += plane_bits(&d.lh, d.w, d.h, 0);
+                bits += plane_bits(&d.hl, d.w, d.h, 0);
+                bits += plane_bits(&d.hh, d.w, d.h, 0);
+            }
+            bits as f64 / (w * h * 8) as f64
+        });
         let s = summarize(&ratios).expect("non-empty dataset");
         rows.push(vec![
             levels.to_string(),
@@ -84,23 +80,20 @@ fn wavelet_ablation(images: &[(String, ImageU8)]) {
     println!("E16 — Haar vs LeGall 5/3 (single level, lossless)\n");
     let mut rows = Vec::new();
     for (name, is_haar) in [("Haar", true), ("LeGall 5/3", false)] {
-        let ratios: Vec<f64> = images
-            .par_iter()
-            .map(|(_, img)| {
-                let (w, h) = (img.width(), img.height());
-                let pixels: Vec<Coeff> = img.pixels().iter().map(|&p| p as Coeff).collect();
-                let planes = if is_haar {
-                    forward_image(&pixels, w, h)
-                } else {
-                    legall53_forward_image(&pixels, w, h)
-                };
-                let bits: u64 = SubBand::ALL
-                    .iter()
-                    .map(|&b| plane_bits(planes.plane(b), planes.w, planes.h, 0))
-                    .sum();
-                bits as f64 / (w * h * 8) as f64
-            })
-            .collect();
+        let ratios: Vec<f64> = sw_pool::global().par_map(images, |(_, img)| {
+            let (w, h) = (img.width(), img.height());
+            let pixels: Vec<Coeff> = img.pixels().iter().map(|&p| p as Coeff).collect();
+            let planes = if is_haar {
+                forward_image(&pixels, w, h)
+            } else {
+                legall53_forward_image(&pixels, w, h)
+            };
+            let bits: u64 = SubBand::ALL
+                .iter()
+                .map(|&b| plane_bits(planes.plane(b), planes.w, planes.h, 0))
+                .sum();
+            bits as f64 / (w * h * 8) as f64
+        });
         let s = summarize(&ratios).expect("non-empty dataset");
         rows.push(vec![
             name.to_string(),
@@ -124,16 +117,13 @@ fn granularity_ablation(images: &[(String, ImageU8)]) {
             ("per coefficient", NBitsGranularity::PerCoefficient),
             ("per sub-band", NBitsGranularity::PerSubband),
         ] {
-            let savings: Vec<f64> = images
-                .par_iter()
-                .map(|(_, img)| {
-                    let cfg = sw_core::config::ArchConfig::builder(n, img.width())
-                        .granularity(g)
-                        .build()
-                        .expect("ablation config is valid");
-                    sw_core::analysis::analyze_frame(img, &cfg).saving_pct()
-                })
-                .collect();
+            let savings: Vec<f64> = sw_pool::global().par_map(images, |(_, img)| {
+                let cfg = sw_core::config::ArchConfig::builder(n, img.width())
+                    .granularity(g)
+                    .build()
+                    .expect("ablation config is valid");
+                sw_core::analysis::analyze_frame(img, &cfg).saving_pct()
+            });
             let s = summarize(&savings).expect("non-empty dataset");
             rows.push(vec![
                 n.to_string(),
@@ -174,27 +164,24 @@ fn streaming_levels(images: &[(String, ImageU8)]) {
     for n in [8usize, 16] {
         let width = images[0].1.width();
         let kernel = BoxFilter::new(n);
-        let results: Vec<(f64, f64)> = images
-            .par_iter()
-            .map(|(_, img)| {
-                let cfg = ArchConfig::builder(n, width)
-                    .build()
-                    .expect("ablation config is valid");
-                let mut one = CompressedSlidingWindow::new(cfg);
-                let s1 = one
-                    .process_frame(img, &kernel)
-                    .unwrap()
-                    .stats
-                    .memory_saving_pct();
-                let mut two = TwoLevelCompressedSlidingWindow::new(cfg);
-                let s2 = two
-                    .process_frame(img, &kernel)
-                    .unwrap()
-                    .stats
-                    .memory_saving_pct();
-                (s1, s2)
-            })
-            .collect();
+        let results: Vec<(f64, f64)> = sw_pool::global().par_map(images, |(_, img)| {
+            let cfg = ArchConfig::builder(n, width)
+                .build()
+                .expect("ablation config is valid");
+            let mut one = CompressedSlidingWindow::new(cfg);
+            let s1 = one
+                .process_frame(img, &kernel)
+                .unwrap()
+                .stats
+                .memory_saving_pct();
+            let mut two = TwoLevelCompressedSlidingWindow::new(cfg);
+            let s2 = two
+                .process_frame(img, &kernel)
+                .unwrap()
+                .stats
+                .memory_saving_pct();
+            (s1, s2)
+        });
         let one =
             summarize(&results.iter().map(|r| r.0).collect::<Vec<_>>()).expect("non-empty dataset");
         let two =

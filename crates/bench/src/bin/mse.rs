@@ -13,7 +13,6 @@
 //! `--codec` swaps the line codec in the compounded column (default: the
 //! paper's Haar); the single-pass column is Haar-specific and unaffected.
 
-use rayon::prelude::*;
 use sw_bench::table::render;
 use sw_bench::{cli_setup, codec_from_args, paper, scene_images, write_telemetry_report, Sweep};
 use sw_bitstream::apply_threshold;
@@ -90,11 +89,9 @@ fn main() {
     let mut rows = Vec::new();
     for &(t, paper_mse) in &paper::PAPER_MSE {
         let _span = tele.span(&format!("mse.t{t}"));
-        let single: Vec<f64> = images.par_iter().map(|(_, i)| one_shot_mse(i, t)).collect();
-        let comp: Vec<f64> = images
-            .par_iter()
-            .map(|(_, i)| compounded_mse(i, n, t, codec, &tele))
-            .collect();
+        let pool = sw_pool::global();
+        let single = pool.par_map(&images, |(_, i)| one_shot_mse(i, t));
+        let comp = pool.par_map(&images, |(_, i)| compounded_mse(i, n, t, codec, &tele));
         let s = summarize(&single).expect("non-empty dataset");
         let c = summarize(&comp).expect("non-empty dataset");
         rows.push(vec![

@@ -15,7 +15,6 @@
 //! cargo run --release -p sw-bench --bin related [--quick]
 //! ```
 
-use rayon::prelude::*;
 use sw_bench::table::render;
 use sw_bench::{scene_images, Sweep};
 use sw_core::analysis::analyze_frame;
@@ -48,17 +47,14 @@ fn main() {
 
 fn compression_ratio(images: &[(String, sw_image::ImageU8)], res: usize) {
     println!("-- compression ratio: ours (lossless, window 8) vs LOCO-I/JPEG-LS --\n");
-    let rows: Vec<(String, f64, f64)> = images
-        .par_iter()
-        .map(|(name, img)| {
-            let cfg = ArchConfig::builder(8, res)
-                .build()
-                .expect("related-work config is valid");
-            let ours = analyze_frame(img, &cfg).bits_per_pixel();
-            let loco = locoi_compressed_bits(img) as f64 / (res * res) as f64;
-            (name.clone(), ours, loco)
-        })
-        .collect();
+    let rows: Vec<(String, f64, f64)> = sw_pool::global().par_map(images, |(name, img)| {
+        let cfg = ArchConfig::builder(8, res)
+            .build()
+            .expect("related-work config is valid");
+        let ours = analyze_frame(img, &cfg).bits_per_pixel();
+        let loco = locoi_compressed_bits(img) as f64 / (res * res) as f64;
+        (name.clone(), ours, loco)
+    });
     let mut table = Vec::new();
     for (name, ours, loco) in &rows {
         table.push(vec![
@@ -101,9 +97,11 @@ fn block_buffering(images: &[(String, sw_image::ImageU8)], res: usize) {
     let cfg = ArchConfig::builder(n, res)
         .build()
         .expect("related-work config is valid");
-    let worst = images
-        .par_iter()
-        .map(|(_, img)| analyze_frame(img, &cfg).worst_payload_occupancy)
+    let worst = sw_pool::global()
+        .par_map(images, |(_, img)| {
+            analyze_frame(img, &cfg).worst_payload_occupancy
+        })
+        .into_iter()
         .max()
         .unwrap();
     let ours = plan(n, res, worst, MgmtAccounting::Structured);
@@ -147,9 +145,11 @@ fn segmented(images: &[(String, sw_image::ImageU8)], res: usize) {
     let cfg = ArchConfig::builder(n, res)
         .build()
         .expect("related-work config is valid");
-    let worst = images
-        .par_iter()
-        .map(|(_, img)| analyze_frame(img, &cfg).worst_payload_occupancy)
+    let worst = sw_pool::global()
+        .par_map(images, |(_, img)| {
+            analyze_frame(img, &cfg).worst_payload_occupancy
+        })
+        .into_iter()
         .max()
         .unwrap();
     let ours = plan(n, res, worst, MgmtAccounting::Structured);

@@ -30,7 +30,6 @@ pub use runner::{
     write_telemetry_report, Sweep,
 };
 
-use rayon::prelude::*;
 use sw_core::analysis::{analyze_frame, FrameAnalysis};
 use sw_core::config::{ArchConfig, ThresholdPolicy};
 use sw_core::stats::{summarize, Summary};
@@ -50,17 +49,14 @@ pub fn analyze_dataset(
     threshold: i16,
     policy: ThresholdPolicy,
 ) -> Vec<FrameAnalysis> {
-    images
-        .par_iter()
-        .map(|(_, img)| {
-            let cfg = ArchConfig::builder(window, img.width())
-                .threshold(threshold)
-                .policy(policy)
-                .build()
-                .expect("dataset analysis config is valid");
-            analyze_frame(img, &cfg)
-        })
-        .collect()
+    sw_pool::global().par_map(images, |(_, img)| {
+        let cfg = ArchConfig::builder(window, img.width())
+            .threshold(threshold)
+            .policy(policy)
+            .build()
+            .expect("dataset analysis config is valid");
+        analyze_frame(img, &cfg)
+    })
 }
 
 /// Summary of memory savings across a dataset (the Figure 13 statistic).

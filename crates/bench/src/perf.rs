@@ -160,10 +160,6 @@ pub struct BenchReport {
     pub version: u64,
     /// UTC date the report was generated (`YYYY-MM-DD`).
     pub created_utc: String,
-    /// Hot path the matrix ran with (`scalar` or `sliced`). Reports
-    /// written before the hot-path axis existed parse as `scalar` — the
-    /// only implementation that era had.
-    pub hot_path: String,
     /// Which workload matrix this is: `window` (the kernel × codec
     /// sliding-window matrix) or `integral` (the wide i32 integral-image
     /// engine). Reports written before the workload axis existed parse as
@@ -333,9 +329,6 @@ pub fn run_matrix(settings: &BenchSettings, created_utc: &str) -> Result<BenchRe
         schema: SCHEMA.to_string(),
         version: SCHEMA_VERSION,
         created_utc: created_utc.to_string(),
-        // `cell_config` builds through `ArchConfig::builder`, which resolves the
-        // hot path from the environment — record what actually ran.
-        hot_path: sw_core::HotPath::from_env().name().to_string(),
         workload: "window".to_string(),
         settings: *settings,
         cells,
@@ -357,10 +350,7 @@ pub fn run_integral_cell(
     pool: &ThreadPool,
     settings: &BenchSettings,
 ) -> Result<CellResult, String> {
-    let cfg = IntegralConfig {
-        segment: WINDOW,
-        hot_path: sw_core::HotPath::from_env(),
-    };
+    let cfg = IntegralConfig { segment: WINDOW };
     let seq_pool;
     let pool = if par {
         pool
@@ -417,7 +407,6 @@ pub fn run_integral_matrix(
         schema: SCHEMA.to_string(),
         version: SCHEMA_VERSION,
         created_utc: created_utc.to_string(),
-        hot_path: sw_core::HotPath::from_env().name().to_string(),
         workload: "integral".to_string(),
         settings: *settings,
         cells,
@@ -456,7 +445,6 @@ impl BenchReport {
             "  \"created_utc\": \"{}\",\n",
             esc(&self.created_utc)
         ));
-        s.push_str(&format!("  \"hot_path\": \"{}\",\n", esc(&self.hot_path)));
         s.push_str(&format!("  \"workload\": \"{}\",\n", esc(&self.workload)));
         s.push_str(&format!(
             "  \"frame\": {{\"width\": {}, \"height\": {}, \"frames\": {}, \"window\": {WINDOW}, \"jobs\": {}, \"quick\": {}}},\n",
@@ -528,13 +516,6 @@ impl BenchReport {
             .and_then(Json::as_u64)
             .ok_or("bench JSON: missing 'version'")?;
         let created_utc = str_field("created_utc")?;
-        let hot_path = match obj.get("hot_path") {
-            Some(v) => v
-                .as_str()
-                .ok_or("bench JSON: non-string 'hot_path'")?
-                .to_string(),
-            None => "scalar".to_string(),
-        };
         let workload = match obj.get("workload") {
             Some(v) => v
                 .as_str()
@@ -577,7 +558,6 @@ impl BenchReport {
             schema,
             version,
             created_utc,
-            hot_path,
             workload,
             settings,
             cells,
@@ -670,9 +650,6 @@ pub struct CompareOutcome {
     pub missing: Vec<String>,
     /// Cells only in the new report.
     pub added: Vec<String>,
-    /// `Some((base, new))` when the two reports ran different hot paths —
-    /// expected when gating a sliced run against the scalar baseline.
-    pub hot_paths: Option<(String, String)>,
 }
 
 impl CompareOutcome {
@@ -690,9 +667,6 @@ impl CompareOutcome {
             self.deltas.len(),
             self.max_loss_pct
         ));
-        if let Some((base, new)) = &self.hot_paths {
-            s.push_str(&format!("  hot path: {base} -> {new}\n"));
-        }
         for d in &self.deltas {
             let flag = if d.delta_pct < -self.max_loss_pct {
                 "  REGRESSION"
@@ -785,8 +759,6 @@ pub fn compare(
         deltas,
         missing,
         added,
-        hot_paths: (base.hot_path != new.hot_path)
-            .then(|| (base.hot_path.clone(), new.hot_path.clone())),
     })
 }
 
@@ -838,7 +810,6 @@ mod tests {
             schema: SCHEMA.to_string(),
             version: SCHEMA_VERSION,
             created_utc: "2026-08-07".to_string(),
-            hot_path: "sliced".to_string(),
             workload: "window".to_string(),
             settings: tiny_settings(),
             cells: mpix
@@ -941,7 +912,6 @@ mod tests {
             schema: SCHEMA.to_string(),
             version: SCHEMA_VERSION,
             created_utc: "2026-08-07".to_string(),
-            hot_path: "sliced".to_string(),
             workload: "window".to_string(),
             settings: s,
             cells: vec![run_cell("box", LineCodecKind::Raw, false, &img, &pool, &s).unwrap()],

@@ -1,6 +1,5 @@
 //! Dataset construction and sweep plumbing shared by the binaries.
 
-use rayon::prelude::*;
 use std::path::{Path, PathBuf};
 use sw_image::{ImageU8, ScenePreset};
 use sw_telemetry::TelemetryHandle;
@@ -8,11 +7,8 @@ use sw_telemetry::TelemetryHandle;
 /// Render the first `count` scenes of the dataset at the given resolution,
 /// in parallel. Returns `(name, image)` pairs.
 pub fn scene_images(width: usize, height: usize, count: usize) -> Vec<(String, ImageU8)> {
-    ScenePreset::ALL
-        .par_iter()
-        .take(count)
-        .map(|p| (p.name.to_string(), p.render(width, height)))
-        .collect()
+    let presets = &ScenePreset::ALL[..count.min(ScenePreset::ALL.len())];
+    sw_pool::global().par_map(presets, |p| (p.name.to_string(), p.render(width, height)))
 }
 
 /// Whether `--quick` was passed on the command line (reduced dataset for
@@ -71,7 +67,7 @@ pub fn jobs_from_args() -> Result<Option<usize>, String> {
 }
 
 /// Shared CLI setup for the bench binaries: validate `--jobs` (sizing the
-/// global pool that `par_iter` uses) and `--telemetry-out`, exiting with a
+/// global pool the dataset sweeps `par_map` on) and `--telemetry-out`, exiting with a
 /// friendly message on malformed flags. Call this before any dataset work
 /// so argument errors surface instantly.
 pub fn cli_setup() -> (TelemetryHandle, Option<PathBuf>) {

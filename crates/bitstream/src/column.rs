@@ -206,7 +206,7 @@ pub fn encode_column_into_of<S: Sample>(coeffs: &[S], threshold: S, out: &mut En
 }
 
 /// Bit-sliced twin of [`encode_column`]: the NBits width comes from the
-/// OR-fold scan ([`min_bits_significant_sliced`]) and the payload is packed
+/// OR-fold scan ([`crate::nbits::min_bits_significant_sliced`]) and the payload is packed
 /// through a 128-bit concatenation register flushed eight bytes at a time,
 /// instead of one coefficient and one byte per step. Reuses `out`'s buffers
 /// and produces a bit-identical [`EncodedColumn`] (pinned by tests and the

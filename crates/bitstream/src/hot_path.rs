@@ -1,74 +1,29 @@
-//! Runtime selection between the scalar reference datapath and the u64
-//! bit-sliced fast path.
+//! The hot-path tag a v1/v2 job request carries on the wire.
 //!
-//! The paper's Fig 6/8 register model packs coefficients into fixed-width
-//! lanes so the hardware datapath operates on whole words, not samples.
-//! The software reproduction mirrors that split: every hot loop (Haar /
-//! LeGall lifting, the NBits width scan, BitMap/payload pack/unpack) has
-//! two implementations — the original scalar one, kept forever as the
-//! differential oracle, and a u64 bit-sliced one that processes four
-//! 16-bit coefficient lanes per word. [`HotPath`] selects between them at
-//! runtime so every test can run both side by side; the two must be
-//! **bit-identical** (the `hot_path_equivalence` suites and the
-//! `HotPathEquivalence` conformance oracle enforce this).
+//! Every hot loop (Haar / LeGall lifting, the NBits width scan,
+//! BitMap/payload pack/unpack) has one product implementation: the u64
+//! bit-sliced kernels, four 16-bit coefficient lanes per word. The
+//! original per-coefficient loops survive only as the differential
+//! reference behind `sw-core`'s `oracle` feature, where the
+//! `hot_path_equivalence` suites and the `HotPathEquivalence` conformance
+//! oracle demand **bit-identical** results from both.
+//!
+//! [`HotPath`] is what remains of the former runtime switch: a job-request
+//! field kept so existing v1/v2 peers stay wire-compatible. Nothing runs
+//! differently for either value.
 
-/// Which implementation of the hot loops a datapath runs.
+/// Which implementation of the hot loops a client asked for. Carried for
+/// wire compatibility; not read.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
 pub enum HotPath {
-    /// The original per-sample implementation — the differential oracle.
+    /// The per-sample reference loops (wire tag 0).
     Scalar,
-    /// u64 bit-sliced lifting/scan/packing (four 16-bit lanes per word).
+    /// u64 bit-sliced lifting/scan/packing (wire tag 1).
     #[default]
     Sliced,
 }
 
 impl HotPath {
-    /// Both paths, scalar first (the reference comes first in diffs).
+    /// Both values, in wire-tag order.
     pub const ALL: [HotPath; 2] = [HotPath::Scalar, HotPath::Sliced];
-
-    /// Environment variable consulted by [`HotPath::from_env`].
-    pub const ENV: &'static str = "SWC_HOT_PATH";
-
-    /// Stable lower-case name (CLI flag values, coverage keys, case ids).
-    pub fn name(self) -> &'static str {
-        match self {
-            HotPath::Scalar => "scalar",
-            HotPath::Sliced => "sliced",
-        }
-    }
-
-    /// Parse a [`HotPath::name`] value.
-    pub fn parse(s: &str) -> Option<Self> {
-        Self::ALL.into_iter().find(|p| p.name() == s)
-    }
-
-    /// The process-wide default: `SWC_HOT_PATH` if set (and valid), else
-    /// [`HotPath::Sliced`].
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unrecognised `SWC_HOT_PATH` value — a silently ignored
-    /// typo would run the wrong datapath through an entire CI job.
-    pub fn from_env() -> Self {
-        match std::env::var(Self::ENV) {
-            Ok(v) => Self::parse(&v).unwrap_or_else(|| {
-                panic!("{}: unknown hot path '{v}' (scalar, sliced)", Self::ENV)
-            }),
-            Err(_) => HotPath::default(),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn names_parse_round_trip() {
-        for hp in HotPath::ALL {
-            assert_eq!(HotPath::parse(hp.name()), Some(hp));
-        }
-        assert_eq!(HotPath::parse("simd"), None);
-        assert_eq!(HotPath::default(), HotPath::Sliced);
-    }
 }

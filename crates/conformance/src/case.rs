@@ -8,7 +8,6 @@
 //! written to `vectors/regressions/` and replayed verbatim.
 
 use sw_bitstream::digest::splitmix64;
-use sw_bitstream::HotPath;
 use sw_core::analysis::measure_frame;
 use sw_core::codec::LineCodecKind;
 use sw_core::config::ArchConfig;
@@ -236,9 +235,6 @@ pub struct CaseSpec {
     pub budget_pct: u32,
     /// Fault-injection seed; `None` runs fault-free.
     pub fault_seed: Option<u64>,
-    /// Which hot-path implementation the codecs run ([`HotPath::Sliced`]
-    /// is the production default; [`HotPath::Scalar`] is the oracle).
-    pub hot_path: HotPath,
     /// Which workload the case drives: the sliding-window datapath (the
     /// default, judged by the full oracle battery) or the wide integral
     /// engine (judged by the integral battery, with [`CaseSpec::window`]
@@ -258,20 +254,14 @@ impl CaseSpec {
             Some(s) => format!("-f{s}"),
             None => String::new(),
         };
-        // Only the non-default path tags the id, so every pre-existing
-        // vector and reproducer id stays stable.
-        let hp = match self.hot_path {
-            HotPath::Sliced => String::new(),
-            HotPath::Scalar => format!("-hp{}", self.hot_path.name()),
-        };
-        // Same convention as the hot-path tag: only the non-default
-        // workload marks the id, so pre-existing ids never change.
+        // Only the non-default workload marks the id, so pre-existing ids
+        // never change.
         let wl = match self.workload {
             Workload::Window => String::new(),
             Workload::Integral => format!("-wl{}", self.workload.name()),
         };
         format!(
-            "{}x{}-{}-s{}-n{}-{}-{}-t{}-{}-b{}{fault}{hp}{wl}",
+            "{}x{}-{}-s{}-n{}-{}-{}-t{}-{}-b{}{fault}{wl}",
             self.width,
             self.height,
             self.content.name(),
@@ -320,7 +310,6 @@ impl CaseSpec {
         ArchConfig::builder(self.window, self.width)
             .threshold(self.threshold)
             .codec(self.codec)
-            .hot_path(self.hot_path)
             .build()
     }
 
@@ -377,7 +366,6 @@ impl CaseSpec {
             Some(f) => s.push_str(&format!("\"fault_seed\": {f}, ")),
             None => s.push_str("\"fault_seed\": null, "),
         }
-        s.push_str(&format!("\"hot_path\": \"{}\", ", self.hot_path.name()));
         s.push_str(&format!("\"workload\": \"{}\"", self.workload.name()));
         s.push('}');
         s
@@ -431,15 +419,6 @@ impl CaseSpec {
                 Some(Json::Null) | None => None,
                 Some(v) => Some(v.as_u64().ok_or("non-integer `fault_seed`")?),
             },
-            // Reproducers written before the hot-path axis existed replay
-            // on the production (sliced) path.
-            hot_path: match obj.get("hot_path") {
-                Some(Json::Str(s)) => {
-                    HotPath::parse(s).ok_or_else(|| format!("unknown hot path `{s}`"))?
-                }
-                Some(_) => return Err("non-string `hot_path`".into()),
-                None => HotPath::Sliced,
-            },
             // Reproducers written before the workload axis existed are all
             // sliding-window cases.
             workload: match obj.get("workload") {
@@ -471,7 +450,6 @@ mod tests {
             policy: Some(OverflowPolicy::Stall),
             budget_pct: 50,
             fault_seed: Some(3),
-            hot_path: HotPath::Sliced,
             workload: Workload::Window,
         }
     }
@@ -486,10 +464,6 @@ mod tests {
         no_fault.policy = None;
         let parsed = CaseSpec::from_json(&parse(&no_fault.to_json()).unwrap()).unwrap();
         assert_eq!(parsed, no_fault);
-        let mut scalar = spec;
-        scalar.hot_path = HotPath::Scalar;
-        let parsed = CaseSpec::from_json(&parse(&scalar.to_json()).unwrap()).unwrap();
-        assert_eq!(parsed, scalar);
         let mut integral = spec;
         integral.workload = Workload::Integral;
         let parsed = CaseSpec::from_json(&parse(&integral.to_json()).unwrap()).unwrap();
@@ -512,19 +486,22 @@ mod tests {
     }
 
     #[test]
-    fn hot_path_axis_defaults_and_tags_consistently() {
-        // Pre-hot-path reproducers (no `hot_path` key) replay sliced.
-        let legacy = sample().to_json().replace(", \"hot_path\": \"sliced\"", "");
-        assert!(!legacy.contains("hot_path"));
-        let parsed = CaseSpec::from_json(&parse(&legacy).unwrap()).unwrap();
-        assert_eq!(parsed.hot_path, HotPath::Sliced);
-        // Sliced ids are unchanged from the pre-hot-path era; scalar ids
-        // carry the suffix so the two runs never collide.
+    fn legacy_hot_path_key_is_ignored() {
+        // Reproducers written while the hot path was a case axis carry a
+        // `hot_path` key; every case now runs the product path (and the
+        // `HotPathEquivalence` oracle diffs it against the scalar
+        // reference), so either value replays the same case.
         let spec = sample();
+        for hp in ["scalar", "sliced"] {
+            let legacy = spec.to_json().replace(
+                "\"workload\"",
+                &format!("\"hot_path\": \"{hp}\", \"workload\""),
+            );
+            assert!(legacy.contains(hp));
+            let parsed = CaseSpec::from_json(&parse(&legacy).unwrap()).unwrap();
+            assert_eq!(parsed, spec);
+        }
         assert!(!spec.id().contains("-hp"));
-        let mut scalar = spec;
-        scalar.hot_path = HotPath::Scalar;
-        assert!(scalar.id().ends_with("-hpscalar"));
     }
 
     #[test]

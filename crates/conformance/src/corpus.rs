@@ -13,7 +13,6 @@ use crate::case::{CaseSpec, ContentClass, KernelKind};
 use crate::oracle::CaseContext;
 use std::collections::BTreeMap;
 use std::path::Path;
-use sw_bitstream::HotPath;
 use sw_core::codec::LineCodecKind;
 use sw_core::digest::image_digest;
 use sw_core::integral::{analyze_integral, IntegralConfig, Workload};
@@ -162,10 +161,6 @@ impl CorpusImage {
                             policy,
                             budget_pct,
                             fault_seed: None,
-                            // The golden digests are hot-path invariant,
-                            // so `SWC_HOT_PATH=scalar swc conform` checks
-                            // the oracle path against the same vectors.
-                            hot_path: HotPath::from_env(),
                             workload: Workload::Window,
                         });
                     }
@@ -185,7 +180,7 @@ pub const INTEGRAL_SEGMENTS: [usize; 2] = [4, 8];
 /// The kernel/codec/threshold/policy axes do not exist for this workload;
 /// they are pinned to their defaults so the spec stays serializable and
 /// the coverage grid stays rectangular.
-pub fn integral_spec(img: &CorpusImage, segment: usize, hot_path: HotPath) -> CaseSpec {
+pub fn integral_spec(img: &CorpusImage, segment: usize) -> CaseSpec {
     CaseSpec {
         window: segment,
         width: img.width,
@@ -198,7 +193,6 @@ pub fn integral_spec(img: &CorpusImage, segment: usize, hot_path: HotPath) -> Ca
         policy: None,
         budget_pct: 100,
         fault_seed: None,
-        hot_path,
         workload: Workload::Integral,
     }
 }
@@ -208,13 +202,7 @@ pub fn integral_spec(img: &CorpusImage, segment: usize, hot_path: HotPath) -> Ca
 fn integral_cell_record(img: &CorpusImage, segment: usize) -> Json {
     let mut obj = BTreeMap::new();
     let image = img.content.render(img.width, img.height, img.seed);
-    let cfg = IntegralConfig {
-        segment,
-        // Same convention as the window cells: the digests are hot-path
-        // invariant, so `SWC_HOT_PATH=scalar` checks the oracle path
-        // against the same vectors.
-        hot_path: HotPath::from_env(),
-    };
+    let cfg = IntegralConfig { segment };
     match analyze_integral(&image, &cfg, &ThreadPool::new(1)) {
         Ok(r) => {
             obj.insert("status".into(), Json::Str("ok".into()));
@@ -643,7 +631,7 @@ pub fn golden_integral_digests(dir: &Path) -> std::io::Result<Vec<GoldenDigest>>
     };
     for img in &IMAGES {
         for segment in INTEGRAL_SEGMENTS {
-            let spec = integral_spec(img, segment, HotPath::Sliced);
+            let spec = integral_spec(img, segment);
             if let Some(digest) = cell_digest(&cells, &format!("{}/s{segment}", img.name)) {
                 out.push(GoldenDigest { spec, digest });
             }

@@ -3,7 +3,7 @@
 //! Mutates image dimensions, content class, threshold, budget fraction,
 //! fault-injection seeds and the workload axis from a splitmix64 stream;
 //! runs the matching oracle battery on every generated case; tracks which
-//! `(codec × policy × shape-class × hot-path × workload)` coverage cells
+//! `(codec × policy × shape-class × workload)` coverage cells
 //! have been exercised; and shrinks any failing case to a minimal
 //! reproducer written to `vectors/regressions/` for permanent replay.
 
@@ -12,7 +12,6 @@ use crate::oracle::{run_oracles, CaseContext, Verdict};
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use sw_bitstream::digest::{fnv1a64, splitmix64};
-use sw_bitstream::HotPath;
 use sw_core::codec::LineCodecKind;
 use sw_core::integral::Workload;
 use sw_core::memory_unit::OverflowPolicy;
@@ -41,18 +40,10 @@ impl Rng {
     }
 }
 
-/// Coverage over the `(codec × policy × shape-class × hot-path ×
-/// workload)` grid.
+/// Coverage over the `(codec × policy × shape-class × workload)` grid.
 #[derive(Debug, Default)]
 pub struct Coverage {
-    #[allow(clippy::type_complexity)]
-    cells: BTreeSet<(
-        &'static str,
-        &'static str,
-        &'static str,
-        &'static str,
-        &'static str,
-    )>,
+    cells: BTreeSet<(&'static str, &'static str, &'static str, &'static str)>,
 }
 
 impl Coverage {
@@ -62,7 +53,6 @@ impl Coverage {
             spec.codec.name(),
             spec.policy_name(),
             spec.shape().name(),
-            spec.hot_path.name(),
             spec.workload.name(),
         ));
     }
@@ -73,19 +63,18 @@ impl Coverage {
     }
 
     /// Total cells in the grid:
-    /// codecs × (policies + none) × shapes × hot paths × workloads.
+    /// codecs × (policies + none) × shapes × workloads.
     pub fn total() -> usize {
         LineCodecKind::ALL.len()
             * (OverflowPolicy::ALL.len() + 1)
             * ShapeClass::ALL.len()
-            * HotPath::ALL.len()
             * Workload::ALL.len()
     }
 
     /// `exercised/total` summary line.
     pub fn summary(&self) -> String {
         format!(
-            "coverage: {}/{} (codec x policy x shape x hot-path x workload) cells exercised",
+            "coverage: {}/{} (codec x policy x shape x workload) cells exercised",
             self.exercised(),
             Self::total()
         )
@@ -136,7 +125,9 @@ pub fn random_spec(rng: &mut Rng) -> CaseSpec {
     };
     let budget_pct = [25u32, 50, 100][rng.below(3) as usize];
     let fault_seed = (rng.below(4) == 0).then(|| rng.below(1 << 20));
-    let hot_path = HotPath::ALL[rng.below(HotPath::ALL.len() as u64) as usize];
+    // The retired hot-path axis is still drawn, so a seed generates the
+    // same cases it always did.
+    let _ = rng.below(2);
     // One case in four drives the wide integral engine instead of the
     // window datapath (its vestigial axes are drawn anyway so the stream
     // stays aligned and the spec stays serializable).
@@ -157,7 +148,6 @@ pub fn random_spec(rng: &mut Rng) -> CaseSpec {
         policy,
         budget_pct,
         fault_seed,
-        hot_path,
         workload,
     }
 }
@@ -216,11 +206,6 @@ pub fn shrink(spec: CaseSpec) -> CaseSpec {
         if best.budget_pct < 100 {
             let mut c = best;
             c.budget_pct = 100;
-            candidates.push(c);
-        }
-        if best.hot_path != HotPath::Sliced {
-            let mut c = best;
-            c.hot_path = HotPath::Sliced;
             candidates.push(c);
         }
         let mut improved = false;
@@ -357,7 +342,7 @@ mod tests {
             "64 draws exercised only {} cells",
             cov.exercised()
         );
-        assert_eq!(Coverage::total(), 400);
+        assert_eq!(Coverage::total(), 200);
     }
 
     #[test]

@@ -13,22 +13,23 @@
 //!    stats consistency), each returning a structured [`Verdict`] that
 //!    names the first divergent pixel, row or field.
 //! 3. **Coverage-guided fuzzing** ([`fuzz`]) — mutates dimensions,
-//!    content, thresholds, budgets, fault seeds, the hot-path axis and
-//!    the workload axis, tracks exercised
-//!    `(codec × policy × shape-class × hot-path × workload)` cells, and
+//!    content, thresholds, budgets, fault seeds and the workload axis,
+//!    tracks exercised `(codec × policy × shape-class × workload)` cells,
+//!    and
 //!    shrinks failures into minimal reproducers under
 //!    `vectors/regressions/`.
 //!
 //! The wide integral engine is a first-class workload: its golden cells
 //! live in `vectors/integral.json`, fuzz cases with
 //! `workload = "integral"` are judged by the integral battery
-//! (hot-path/jobs invariance plus the reference-integral-image digest),
-//! and the corpus run covers every image × segment × hot-path cell.
+//! (scalar-reference/jobs invariance plus the reference-integral-image
+//! digest), and the corpus run covers every image × segment cell.
 //!
-//! The oracle battery additionally pins the SIMD hot path: every case is
-//! judged under both [`sw_bitstream::HotPath`] implementations, and the
-//! `HotPathEquivalence` oracle demands bit-identical outputs and stats
-//! between them.
+//! The oracle battery additionally pins the bit-sliced hot path: on every
+//! case the `HotPathEquivalence` (window) and `IntegralEquivalence`
+//! (integral) oracles rerun the datapath on the scalar reference kernels
+//! (`sw-core`'s `oracle` feature) and demand bit-identical outputs and
+//! stats.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -60,8 +61,7 @@ pub struct RunSummary {
     pub oracle_verdicts: usize,
     /// Regression reproducers that failed on replay.
     pub regression_failures: Vec<String>,
-    /// `(codec × policy × shape × hot-path × workload)` coverage over the
-    /// corpus grid.
+    /// `(codec × policy × shape × workload)` coverage over the corpus grid.
     pub coverage: Coverage,
 }
 
@@ -123,37 +123,21 @@ pub fn run_all(vectors_dir: &Path) -> std::io::Result<RunSummary> {
     let mut oracle_failures = Vec::new();
     let mut oracle_verdicts = 0usize;
     let mut coverage = Coverage::default();
-    for base in corpus::corpus_specs() {
-        // Judge every corpus case under both hot paths in one process:
-        // the scalar run is the oracle the sliced datapath must match.
-        for hot_path in sw_bitstream::HotPath::ALL {
-            let mut spec = base;
-            spec.hot_path = hot_path;
-            coverage.record(&spec);
-            let ctx = CaseContext::new(spec);
-            for v in run_oracles(&ctx) {
-                oracle_verdicts += 1;
-                if v.is_fail() {
-                    oracle_failures.push(v.to_string());
-                }
-            }
-        }
-    }
     // The integral workload rides the same run: every corpus image at
-    // every pinned segment length, judged by the integral battery under
-    // both hot paths (its golden cells were already checked above).
-    for img in &corpus::IMAGES {
-        for segment in corpus::INTEGRAL_SEGMENTS {
-            for hot_path in sw_bitstream::HotPath::ALL {
-                let spec = corpus::integral_spec(img, segment, hot_path);
-                coverage.record(&spec);
-                let ctx = CaseContext::new(spec);
-                for v in run_oracles(&ctx) {
-                    oracle_verdicts += 1;
-                    if v.is_fail() {
-                        oracle_failures.push(v.to_string());
-                    }
-                }
+    // every pinned segment length, judged by the integral battery (its
+    // golden cells were already checked above).
+    let integral = corpus::IMAGES.iter().flat_map(|img| {
+        corpus::INTEGRAL_SEGMENTS
+            .into_iter()
+            .map(|segment| corpus::integral_spec(img, segment))
+    });
+    for spec in corpus::corpus_specs().into_iter().chain(integral) {
+        coverage.record(&spec);
+        let ctx = CaseContext::new(spec);
+        for v in run_oracles(&ctx) {
+            oracle_verdicts += 1;
+            if v.is_fail() {
+                oracle_failures.push(v.to_string());
             }
         }
     }

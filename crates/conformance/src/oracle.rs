@@ -11,13 +11,16 @@
 
 use crate::case::{CaseSpec, ContentClass, KernelKind};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use sw_bitstream::{Fnv64, HotPath, Sample};
+use sw_bitstream::{Fnv64, Sample};
 use sw_core::arch::{build_arch, FrameOutput};
 use sw_core::codec::LineCodecKind;
 use sw_core::config::ArchConfig;
 use sw_core::error::SwError;
 use sw_core::faults::FaultInjector;
-use sw_core::integral::{analyze_integral, IntegralConfig, IntegralReport, WideCoeff, Workload};
+use sw_core::integral::{
+    analyze_integral, analyze_integral_scalar_reference, IntegralConfig, IntegralReport, WideCoeff,
+    Workload,
+};
 use sw_core::kernels::Tap;
 use sw_core::memory_unit::{MemoryUnitConfig, OverflowPolicy};
 use sw_core::rtl::RtlCompressedSlidingWindow;
@@ -725,11 +728,11 @@ impl Oracle for StatsConsistency {
     }
 }
 
-/// The sliced (SWAR) hot path is bit-identical to the permanent scalar
-/// oracle path: same output pixels, same `FrameStats` down to the packed
-/// bit counts, same typed error — for every codec, threshold, policy,
-/// budget and fault seed. This is the conformance-level lockdown of the
-/// `hot_path_equivalence` differential battery.
+/// The bit-sliced (SWAR) product path is bit-identical to the scalar
+/// reference kernels: same output pixels, same `FrameStats` down to the
+/// packed bit counts, same typed error — for every codec, threshold,
+/// policy, budget and fault seed. This is the conformance-level lockdown of
+/// the `hot_path_equivalence` differential battery.
 pub struct HotPathEquivalence;
 
 impl Oracle for HotPathEquivalence {
@@ -738,28 +741,8 @@ impl Oracle for HotPathEquivalence {
     }
 
     fn check(&self, ctx: &CaseContext) -> Outcome {
-        let mut spec = ctx.spec;
-        spec.hot_path = HotPath::Sliced;
-        let sliced_cfg = spec.config();
-        spec.hot_path = HotPath::Scalar;
-        let scalar_cfg = spec.config();
-        let (sliced_cfg, scalar_cfg) = match (sliced_cfg, scalar_cfg) {
-            (Ok(a), Ok(b)) => (a, b),
-            (Err(SwError::Config(msg)), Err(SwError::Config(_))) => {
-                return Outcome::Skip(format!("config rejected: {msg}"))
-            }
-            (a, b) => {
-                let show = |r: Result<ArchConfig, SwError>| match r {
-                    Ok(_) => "accepted".to_string(),
-                    Err(e) => format!("rejected: {e}"),
-                };
-                return Outcome::Fail(Divergence::Error(format!(
-                    "hot paths disagreed at config time: sliced {} vs scalar {}",
-                    show(a),
-                    show(b)
-                )));
-            }
-        };
+        let sliced_cfg = gate_config!(ctx);
+        let scalar_cfg = sliced_cfg.with_scalar_reference();
         let mu = match ctx.spec.memory_unit() {
             Ok(mu) => mu,
             Err(e) => return Outcome::Skip(format!("memory-unit probe failed: {e}")),
@@ -838,8 +821,8 @@ fn compare_integral_reports(got: &IntegralReport, want: &IntegralReport) -> Outc
     Outcome::Pass
 }
 
-/// The wide engine is hot-path- and jobs-invariant: the scalar engine on
-/// one thread and the sliced engine on three must produce bit-identical
+/// The wide engine is path- and jobs-invariant: the scalar reference on
+/// one thread and the sliced product engine on three must produce bit-identical
 /// reports (digest included) — the 32-bit mirror of `HotPathEquivalence`.
 pub struct IntegralEquivalence;
 
@@ -849,12 +832,11 @@ impl Oracle for IntegralEquivalence {
     }
 
     fn check(&self, ctx: &CaseContext) -> Outcome {
-        let mk = |hot_path| IntegralConfig {
+        let cfg = IntegralConfig {
             segment: ctx.spec.window,
-            hot_path,
         };
-        let scalar = analyze_integral(&ctx.image, &mk(HotPath::Scalar), &ThreadPool::new(1));
-        let sliced = analyze_integral(&ctx.image, &mk(HotPath::Sliced), &ThreadPool::new(3));
+        let scalar = analyze_integral_scalar_reference(&ctx.image, &cfg, &ThreadPool::new(1));
+        let sliced = analyze_integral(&ctx.image, &cfg, &ThreadPool::new(3));
         match (scalar, sliced) {
             (Ok(want), Ok(got)) => compare_integral_reports(&got, &want),
             (Err(a), Err(b)) => {
@@ -889,7 +871,6 @@ impl Oracle for IntegralDigest {
     fn check(&self, ctx: &CaseContext) -> Outcome {
         let cfg = IntegralConfig {
             segment: ctx.spec.window,
-            hot_path: ctx.spec.hot_path,
         };
         let report = match analyze_integral(&ctx.image, &cfg, &ThreadPool::new(2)) {
             Ok(r) => r,
@@ -991,7 +972,6 @@ mod tests {
             policy: None,
             budget_pct: 100,
             fault_seed: None,
-            hot_path: HotPath::Sliced,
             workload: Workload::Window,
         }
     }

@@ -26,16 +26,22 @@ use crate::config::ArchConfig;
 use crate::faults::FaultSite;
 use crate::{Coeff, Pixel};
 use sw_bitstream::locoi::{locoi_encode, locoi_try_decode};
+#[cfg(any(test, feature = "oracle"))]
+use sw_bitstream::{decode_column_checked, encode_column};
 use sw_bitstream::{
-    decode_column_checked, decode_column_sliced_into, encode_column, encode_column_sliced_into,
-    CodecTelemetry, EncodedColumn, HotPath, Sample, NBITS_FIELD_BITS,
+    decode_column_sliced_into, encode_column_sliced_into, CodecTelemetry, EncodedColumn, Sample,
+    NBITS_FIELD_BITS,
 };
 use sw_image::ImageU8;
 use sw_telemetry::TelemetryHandle;
-use sw_wavelet::haar2d::{ColumnPairInverse, ColumnPairTransformer, SubbandColumn};
-use sw_wavelet::legall::{legall53_forward, legall53_inverse};
+use sw_wavelet::haar2d::{ColumnPairInverse, ColumnPairTransformer};
 use sw_wavelet::swar::{legall53_fwd_sliced, legall53_inv_sliced};
 use sw_wavelet::SubBand;
+#[cfg(any(test, feature = "oracle"))]
+use sw_wavelet::{
+    haar2d::SubbandColumn,
+    legall::{legall53_forward, legall53_inverse},
+};
 
 /// The codecs a sliding window architecture can buffer its lines through.
 ///
@@ -383,6 +389,9 @@ pub struct HaarIwtCodec {
     bands: [Vec<Coeff>; 4],
 }
 
+/// The scalar reference twin of the Haar codec's sliced kernels: the
+/// differential oracles run it against the product path.
+#[cfg(any(test, feature = "oracle"))]
 impl HaarIwtCodec {
     fn enc(&self, half: &[Coeff], band: SubBand) -> EncodedColumn {
         let t_band = self.cfg.policy.threshold_for(band, self.cfg.threshold);
@@ -399,8 +408,63 @@ impl HaarIwtCodec {
         }
     }
 
-    /// Sliced twin of [`Self::enc`]: encodes into `out` through the
-    /// recycled clamp scratch, free of per-call allocation.
+    fn encode_group_scalar(&mut self, cols: &[Vec<Coeff>]) -> EncodedGroup<[EncodedColumn; 4]> {
+        let none = self.fwd.push_column(&cols[0]);
+        debug_assert!(none.is_none());
+        let Some(pair) = self.fwd.push_column(&cols[1]) else {
+            unreachable!("second column completes the pair")
+        };
+        let encoded = [
+            self.enc(pair.even.first_half(), SubBand::LL),
+            self.enc(pair.even.second_half(), SubBand::LH),
+            self.enc(pair.odd.first_half(), SubBand::HL),
+            self.enc(pair.odd.second_half(), SubBand::HH),
+        ];
+        let mut per_band = [0u64; 4];
+        for (slot, e) in per_band.iter_mut().zip(&encoded) {
+            *slot = e.payload_bits;
+            self.codec.record_encoded(e);
+        }
+        EncodedGroup {
+            payload_bits: per_band.iter().sum(),
+            per_band_bits: per_band,
+            data: encoded,
+        }
+    }
+
+    fn decode_group_scalar(&mut self, enc: &[EncodedColumn; 4]) -> Result<Vec<Vec<Pixel>>, String> {
+        for e in enc {
+            self.codec.record_decoded(e);
+        }
+        let ll = decode_column_checked(&enc[0])?;
+        let lh = decode_column_checked(&enc[1])?;
+        let hl = decode_column_checked(&enc[2])?;
+        let hh = decode_column_checked(&enc[3])?;
+        let even = SubbandColumn {
+            bands: (SubBand::LL, SubBand::LH),
+            coeffs: ll.into_iter().chain(lh).collect(),
+        };
+        let odd = SubbandColumn {
+            bands: (SubBand::HL, SubBand::HH),
+            coeffs: hl.into_iter().chain(hh).collect(),
+        };
+        debug_assert!(!self.inv.has_pending());
+        let none = self.inv.push_column(even);
+        debug_assert!(none.is_none());
+        let Some((c0, c1)) = self.inv.push_column(odd) else {
+            unreachable!("pair reconstructs two columns")
+        };
+        let clamp = |v: Coeff| v.clamp(0, 255) as Pixel;
+        Ok(vec![
+            c0.into_iter().map(clamp).collect(),
+            c1.into_iter().map(clamp).collect(),
+        ])
+    }
+}
+
+impl HaarIwtCodec {
+    /// Encodes one sub-band half into `out` through the recycled clamp
+    /// scratch, free of per-call allocation.
     fn enc_sliced(
         cfg: &ArchConfig,
         clamp: &mut Vec<Coeff>,
@@ -453,28 +517,9 @@ impl LineCodec for HaarIwtCodec {
         recycled: Option<Self::Encoded>,
     ) -> EncodedGroup<Self::Encoded> {
         debug_assert_eq!(cols.len(), 2);
-        if self.cfg.hot_path == HotPath::Scalar {
-            let none = self.fwd.push_column(&cols[0]);
-            debug_assert!(none.is_none());
-            let Some(pair) = self.fwd.push_column(&cols[1]) else {
-                unreachable!("second column completes the pair")
-            };
-            let encoded = [
-                self.enc(pair.even.first_half(), SubBand::LL),
-                self.enc(pair.even.second_half(), SubBand::LH),
-                self.enc(pair.odd.first_half(), SubBand::HL),
-                self.enc(pair.odd.second_half(), SubBand::HH),
-            ];
-            let mut per_band = [0u64; 4];
-            for (slot, e) in per_band.iter_mut().zip(&encoded) {
-                *slot = e.payload_bits;
-                self.codec.record_encoded(e);
-            }
-            return EncodedGroup {
-                payload_bits: per_band.iter().sum(),
-                per_band_bits: per_band,
-                data: encoded,
-            };
+        #[cfg(any(test, feature = "oracle"))]
+        if self.cfg.scalar_reference {
+            return self.encode_group_scalar(cols);
         }
         let none = self.fwd.push_column_sliced(&cols[0]);
         debug_assert!(none.is_none());
@@ -504,37 +549,9 @@ impl LineCodec for HaarIwtCodec {
     }
 
     fn try_decode_group(&mut self, enc: &Self::Encoded) -> Result<Vec<Vec<Pixel>>, String> {
-        if self.cfg.hot_path != HotPath::Scalar {
-            let mut out = Vec::new();
-            self.try_decode_group_into(enc, &mut out)?;
-            return Ok(out);
-        }
-        for e in enc {
-            self.codec.record_decoded(e);
-        }
-        let ll = decode_column_checked(&enc[0])?;
-        let lh = decode_column_checked(&enc[1])?;
-        let hl = decode_column_checked(&enc[2])?;
-        let hh = decode_column_checked(&enc[3])?;
-        let even = SubbandColumn {
-            bands: (SubBand::LL, SubBand::LH),
-            coeffs: ll.into_iter().chain(lh).collect(),
-        };
-        let odd = SubbandColumn {
-            bands: (SubBand::HL, SubBand::HH),
-            coeffs: hl.into_iter().chain(hh).collect(),
-        };
-        debug_assert!(!self.inv.has_pending());
-        let none = self.inv.push_column(even);
-        debug_assert!(none.is_none());
-        let Some((c0, c1)) = self.inv.push_column(odd) else {
-            unreachable!("pair reconstructs two columns")
-        };
-        let clamp = |v: Coeff| v.clamp(0, 255) as Pixel;
-        Ok(vec![
-            c0.into_iter().map(clamp).collect(),
-            c1.into_iter().map(clamp).collect(),
-        ])
+        let mut out = Vec::new();
+        self.try_decode_group_into(enc, &mut out)?;
+        Ok(out)
     }
 
     fn try_decode_group_into(
@@ -542,8 +559,9 @@ impl LineCodec for HaarIwtCodec {
         enc: &Self::Encoded,
         out: &mut Vec<Vec<Pixel>>,
     ) -> Result<(), String> {
-        if self.cfg.hot_path == HotPath::Scalar {
-            *out = self.try_decode_group(enc)?;
+        #[cfg(any(test, feature = "oracle"))]
+        if self.cfg.scalar_reference {
+            *out = self.decode_group_scalar(enc)?;
             return Ok(());
         }
         for e in enc {
@@ -603,12 +621,128 @@ pub struct HaarTwoLevelCodec {
     dec_ll: (Vec<Coeff>, Vec<Coeff>),
 }
 
+/// Level-1 detail columns plus level-2 sub-bands of one quad (see
+/// [`HaarTwoLevelCodec`]'s `Encoded`).
+type Haar2Encoded = ([EncodedColumn; 6], [EncodedColumn; 4]);
+
+/// The scalar reference twin of the two-level codec's sliced kernels.
+#[cfg(any(test, feature = "oracle"))]
 impl HaarTwoLevelCodec {
     fn enc(&self, coeffs: &[Coeff], band: SubBand) -> EncodedColumn {
         let t = self.cfg.policy.threshold_for(band, self.cfg.threshold);
         encode_column(coeffs, t)
     }
 
+    fn encode_group_scalar(&mut self, cols: &[Vec<Coeff>]) -> EncodedGroup<Haar2Encoded> {
+        let none = self.l1.push_column(&cols[0]);
+        debug_assert!(none.is_none());
+        let Some(pair_a) = self.l1.push_column(&cols[1]) else {
+            unreachable!("first level-1 pair")
+        };
+        let none = self.l1.push_column(&cols[2]);
+        debug_assert!(none.is_none());
+        let Some(pair_b) = self.l1.push_column(&cols[3]) else {
+            unreachable!("second level-1 pair")
+        };
+
+        let l1 = [
+            self.enc(pair_a.even.second_half(), SubBand::LH),
+            self.enc(pair_a.odd.first_half(), SubBand::HL),
+            self.enc(pair_a.odd.second_half(), SubBand::HH),
+            self.enc(pair_b.even.second_half(), SubBand::LH),
+            self.enc(pair_b.odd.first_half(), SubBand::HL),
+            self.enc(pair_b.odd.second_half(), SubBand::HH),
+        ];
+        let none = self.l2.push_column(pair_a.even.first_half());
+        debug_assert!(none.is_none());
+        let Some(pair2) = self.l2.push_column(pair_b.even.first_half()) else {
+            unreachable!("level-2 pair")
+        };
+        let l2 = [
+            self.enc(pair2.even.first_half(), SubBand::LL),
+            self.enc(pair2.even.second_half(), SubBand::LH),
+            self.enc(pair2.odd.first_half(), SubBand::HL),
+            self.enc(pair2.odd.second_half(), SubBand::HH),
+        ];
+
+        // Per-band attribution: level-2 columns land in their own band;
+        // level-1 details fold into the matching detail band.
+        let mut per_band = [0u64; 4];
+        for (i, e) in l2.iter().enumerate() {
+            per_band[i] += e.payload_bits;
+        }
+        for (e, band) in l1.iter().zip([1usize, 2, 3, 1, 2, 3]) {
+            per_band[band] += e.payload_bits;
+        }
+        for e in l1.iter().chain(&l2) {
+            self.codec.record_encoded(e);
+        }
+        EncodedGroup {
+            payload_bits: per_band.iter().sum(),
+            per_band_bits: per_band,
+            data: (l1, l2),
+        }
+    }
+
+    fn decode_group_scalar(&mut self, enc: &Haar2Encoded) -> Result<Vec<Vec<Pixel>>, String> {
+        let (l1, l2) = enc;
+        for e in l1.iter().chain(l2.iter()) {
+            self.codec.record_decoded(e);
+        }
+        // Level-2 inverse: recover LL1(c0) and LL1(c2).
+        let even2 = SubbandColumn {
+            bands: (SubBand::LL, SubBand::LH),
+            coeffs: decode_column_checked(&l2[0])?
+                .into_iter()
+                .chain(decode_column_checked(&l2[1])?)
+                .collect(),
+        };
+        let odd2 = SubbandColumn {
+            bands: (SubBand::HL, SubBand::HH),
+            coeffs: decode_column_checked(&l2[2])?
+                .into_iter()
+                .chain(decode_column_checked(&l2[3])?)
+                .collect(),
+        };
+        debug_assert!(!self.inv2.has_pending());
+        let none = self.inv2.push_column(even2);
+        debug_assert!(none.is_none());
+        let Some((ll1_c0, ll1_c2)) = self.inv2.push_column(odd2) else {
+            unreachable!("level-2 pair")
+        };
+
+        // Level-1 inverse for (c0, c1) and (c2, c3).
+        let mut raws = Vec::with_capacity(4);
+        for (ll1, lh_idx, hl_idx, hh_idx) in [(ll1_c0, 0usize, 1, 2), (ll1_c2, 3, 4, 5)] {
+            let even1 = SubbandColumn {
+                bands: (SubBand::LL, SubBand::LH),
+                coeffs: ll1
+                    .into_iter()
+                    .chain(decode_column_checked(&l1[lh_idx])?)
+                    .collect(),
+            };
+            let odd1 = SubbandColumn {
+                bands: (SubBand::HL, SubBand::HH),
+                coeffs: decode_column_checked(&l1[hl_idx])?
+                    .into_iter()
+                    .chain(decode_column_checked(&l1[hh_idx])?)
+                    .collect(),
+            };
+            debug_assert!(!self.inv1.has_pending());
+            let none = self.inv1.push_column(even1);
+            debug_assert!(none.is_none());
+            let Some((a, b)) = self.inv1.push_column(odd1) else {
+                unreachable!("level-1 pair")
+            };
+            let clamp = |v: Coeff| v.clamp(0, 255) as Pixel;
+            raws.push(a.into_iter().map(clamp).collect::<Vec<Pixel>>());
+            raws.push(b.into_iter().map(clamp).collect::<Vec<Pixel>>());
+        }
+        Ok(raws)
+    }
+}
+
+impl HaarTwoLevelCodec {
     fn enc_sliced(cfg: &ArchConfig, coeffs: &[Coeff], band: SubBand, out: &mut EncodedColumn) {
         let t = cfg.policy.threshold_for(band, cfg.threshold);
         encode_column_sliced_into(coeffs, t, out);
@@ -619,7 +753,7 @@ impl LineCodec for HaarTwoLevelCodec {
     type Sample = Coeff;
     /// Level-1 detail columns `[LH1(c0), HL1(c1), HH1(c1), LH1(c2),
     /// HL1(c3), HH1(c3)]` plus level-2 `[LL2, LH2, HL2, HH2]`.
-    type Encoded = ([EncodedColumn; 6], [EncodedColumn; 4]);
+    type Encoded = Haar2Encoded;
 
     fn new(cfg: &ArchConfig) -> Self {
         assert!(
@@ -653,8 +787,9 @@ impl LineCodec for HaarTwoLevelCodec {
         recycled: Option<Self::Encoded>,
     ) -> EncodedGroup<Self::Encoded> {
         debug_assert_eq!(cols.len(), 4);
-        if self.cfg.hot_path == HotPath::Scalar {
-            return self.encode_group(cols);
+        #[cfg(any(test, feature = "oracle"))]
+        if self.cfg.scalar_reference {
+            return self.encode_group_scalar(cols);
         }
         let (mut l1e, mut l2e) = recycled.unwrap_or_default();
         // First level-1 pair: encode its detail columns immediately and
@@ -735,58 +870,7 @@ impl LineCodec for HaarTwoLevelCodec {
     }
 
     fn encode_group(&mut self, cols: &[Vec<Coeff>]) -> EncodedGroup<Self::Encoded> {
-        debug_assert_eq!(cols.len(), 4);
-        if self.cfg.hot_path != HotPath::Scalar {
-            return self.encode_group_reuse(cols, None);
-        }
-        let none = self.l1.push_column(&cols[0]);
-        debug_assert!(none.is_none());
-        let Some(pair_a) = self.l1.push_column(&cols[1]) else {
-            unreachable!("first level-1 pair")
-        };
-        let none = self.l1.push_column(&cols[2]);
-        debug_assert!(none.is_none());
-        let Some(pair_b) = self.l1.push_column(&cols[3]) else {
-            unreachable!("second level-1 pair")
-        };
-
-        let l1 = [
-            self.enc(pair_a.even.second_half(), SubBand::LH),
-            self.enc(pair_a.odd.first_half(), SubBand::HL),
-            self.enc(pair_a.odd.second_half(), SubBand::HH),
-            self.enc(pair_b.even.second_half(), SubBand::LH),
-            self.enc(pair_b.odd.first_half(), SubBand::HL),
-            self.enc(pair_b.odd.second_half(), SubBand::HH),
-        ];
-        let none = self.l2.push_column(pair_a.even.first_half());
-        debug_assert!(none.is_none());
-        let Some(pair2) = self.l2.push_column(pair_b.even.first_half()) else {
-            unreachable!("level-2 pair")
-        };
-        let l2 = [
-            self.enc(pair2.even.first_half(), SubBand::LL),
-            self.enc(pair2.even.second_half(), SubBand::LH),
-            self.enc(pair2.odd.first_half(), SubBand::HL),
-            self.enc(pair2.odd.second_half(), SubBand::HH),
-        ];
-
-        // Per-band attribution: level-2 columns land in their own band;
-        // level-1 details fold into the matching detail band.
-        let mut per_band = [0u64; 4];
-        for (i, e) in l2.iter().enumerate() {
-            per_band[i] += e.payload_bits;
-        }
-        for (e, band) in l1.iter().zip([1usize, 2, 3, 1, 2, 3]) {
-            per_band[band] += e.payload_bits;
-        }
-        for e in l1.iter().chain(&l2) {
-            self.codec.record_encoded(e);
-        }
-        EncodedGroup {
-            payload_bits: per_band.iter().sum(),
-            per_band_bits: per_band,
-            data: (l1, l2),
-        }
+        self.encode_group_reuse(cols, None)
     }
 
     fn try_decode_group_into(
@@ -794,8 +878,9 @@ impl LineCodec for HaarTwoLevelCodec {
         enc: &Self::Encoded,
         out: &mut Vec<Vec<Pixel>>,
     ) -> Result<(), String> {
-        if self.cfg.hot_path == HotPath::Scalar {
-            *out = self.try_decode_group(enc)?;
+        #[cfg(any(test, feature = "oracle"))]
+        if self.cfg.scalar_reference {
+            *out = self.decode_group_scalar(enc)?;
             return Ok(());
         }
         let (l1, l2) = enc;
@@ -843,65 +928,9 @@ impl LineCodec for HaarTwoLevelCodec {
     }
 
     fn try_decode_group(&mut self, enc: &Self::Encoded) -> Result<Vec<Vec<Pixel>>, String> {
-        if self.cfg.hot_path != HotPath::Scalar {
-            let mut out = Vec::new();
-            self.try_decode_group_into(enc, &mut out)?;
-            return Ok(out);
-        }
-        let (l1, l2) = enc;
-        for e in l1.iter().chain(l2.iter()) {
-            self.codec.record_decoded(e);
-        }
-        // Level-2 inverse: recover LL1(c0) and LL1(c2).
-        let even2 = SubbandColumn {
-            bands: (SubBand::LL, SubBand::LH),
-            coeffs: decode_column_checked(&l2[0])?
-                .into_iter()
-                .chain(decode_column_checked(&l2[1])?)
-                .collect(),
-        };
-        let odd2 = SubbandColumn {
-            bands: (SubBand::HL, SubBand::HH),
-            coeffs: decode_column_checked(&l2[2])?
-                .into_iter()
-                .chain(decode_column_checked(&l2[3])?)
-                .collect(),
-        };
-        debug_assert!(!self.inv2.has_pending());
-        let none = self.inv2.push_column(even2);
-        debug_assert!(none.is_none());
-        let Some((ll1_c0, ll1_c2)) = self.inv2.push_column(odd2) else {
-            unreachable!("level-2 pair")
-        };
-
-        // Level-1 inverse for (c0, c1) and (c2, c3).
-        let mut raws = Vec::with_capacity(4);
-        for (ll1, lh_idx, hl_idx, hh_idx) in [(ll1_c0, 0usize, 1, 2), (ll1_c2, 3, 4, 5)] {
-            let even1 = SubbandColumn {
-                bands: (SubBand::LL, SubBand::LH),
-                coeffs: ll1
-                    .into_iter()
-                    .chain(decode_column_checked(&l1[lh_idx])?)
-                    .collect(),
-            };
-            let odd1 = SubbandColumn {
-                bands: (SubBand::HL, SubBand::HH),
-                coeffs: decode_column_checked(&l1[hl_idx])?
-                    .into_iter()
-                    .chain(decode_column_checked(&l1[hh_idx])?)
-                    .collect(),
-            };
-            debug_assert!(!self.inv1.has_pending());
-            let none = self.inv1.push_column(even1);
-            debug_assert!(none.is_none());
-            let Some((a, b)) = self.inv1.push_column(odd1) else {
-                unreachable!("level-1 pair")
-            };
-            let clamp = |v: Coeff| v.clamp(0, 255) as Pixel;
-            raws.push(a.into_iter().map(clamp).collect::<Vec<Pixel>>());
-            raws.push(b.into_iter().map(clamp).collect::<Vec<Pixel>>());
-        }
-        Ok(raws)
+        let mut out = Vec::new();
+        self.try_decode_group_into(enc, &mut out)?;
+        Ok(out)
     }
 
     fn corrupt(&self, enc: &mut Self::Encoded, site: FaultSite, bit: u64) {
@@ -944,6 +973,65 @@ pub struct LeGall53Codec {
     dec_high: Vec<Coeff>,
 }
 
+impl LeGall53Codec {
+    /// Clamp the high band to the datapath width and return the
+    /// `(low, high)` band thresholds.
+    fn clamp_high(&mut self) -> (Coeff, Coeff) {
+        let t_low = self
+            .cfg
+            .policy
+            .threshold_for(SubBand::LL, self.cfg.threshold);
+        let t_high = self
+            .cfg
+            .policy
+            .threshold_for(SubBand::LH, self.cfg.threshold);
+        for c in &mut self.high {
+            *c = self.cfg.coeff_mode.clamp_detail(*c);
+        }
+        (t_low, t_high)
+    }
+
+    fn finish_group(&mut self, encoded: [EncodedColumn; 2]) -> EncodedGroup<[EncodedColumn; 2]> {
+        for e in &encoded {
+            self.codec.record_encoded(e);
+        }
+        let per_band = [encoded[0].payload_bits, encoded[1].payload_bits, 0, 0];
+        EncodedGroup {
+            payload_bits: per_band.iter().sum(),
+            per_band_bits: per_band,
+            data: encoded,
+        }
+    }
+}
+
+/// The scalar reference twin of the LeGall codec's sliced kernels.
+#[cfg(any(test, feature = "oracle"))]
+impl LeGall53Codec {
+    fn encode_group_scalar(&mut self, cols: &[Vec<Coeff>]) -> EncodedGroup<[EncodedColumn; 2]> {
+        legall53_forward(&cols[0], &mut self.low, &mut self.high);
+        let (t_low, t_high) = self.clamp_high();
+        let encoded = [
+            encode_column(&self.low, t_low),
+            encode_column(&self.high, t_high),
+        ];
+        self.finish_group(encoded)
+    }
+
+    fn decode_group_scalar(&mut self, enc: &[EncodedColumn; 2]) -> Result<Vec<Vec<Pixel>>, String> {
+        for e in enc {
+            self.codec.record_decoded(e);
+        }
+        let low = decode_column_checked(&enc[0])?;
+        let high = decode_column_checked(&enc[1])?;
+        legall53_inverse(&low, &high, &mut self.scratch);
+        Ok(vec![self
+            .scratch
+            .iter()
+            .map(|&v| v.clamp(0, 255) as Pixel)
+            .collect()])
+    }
+}
+
 impl LineCodec for LeGall53Codec {
     type Sample = Coeff;
     /// `[low, high]` of one column.
@@ -976,62 +1064,22 @@ impl LineCodec for LeGall53Codec {
         recycled: Option<Self::Encoded>,
     ) -> EncodedGroup<Self::Encoded> {
         debug_assert_eq!(cols.len(), 1);
-        let sliced = self.cfg.hot_path != HotPath::Scalar;
-        if sliced {
-            legall53_fwd_sliced(&cols[0], &mut self.low, &mut self.high);
-        } else {
-            legall53_forward(&cols[0], &mut self.low, &mut self.high);
+        #[cfg(any(test, feature = "oracle"))]
+        if self.cfg.scalar_reference {
+            return self.encode_group_scalar(cols);
         }
-        let t_low = self
-            .cfg
-            .policy
-            .threshold_for(SubBand::LL, self.cfg.threshold);
-        let t_high = self
-            .cfg
-            .policy
-            .threshold_for(SubBand::LH, self.cfg.threshold);
-        for c in &mut self.high {
-            *c = self.cfg.coeff_mode.clamp_detail(*c);
-        }
-        let encoded = if sliced {
-            let mut encoded = recycled.unwrap_or_default();
-            encode_column_sliced_into(&self.low, t_low, &mut encoded[0]);
-            encode_column_sliced_into(&self.high, t_high, &mut encoded[1]);
-            encoded
-        } else {
-            [
-                encode_column(&self.low, t_low),
-                encode_column(&self.high, t_high),
-            ]
-        };
-        for e in &encoded {
-            self.codec.record_encoded(e);
-        }
-        let per_band = [encoded[0].payload_bits, encoded[1].payload_bits, 0, 0];
-        EncodedGroup {
-            payload_bits: per_band.iter().sum(),
-            per_band_bits: per_band,
-            data: encoded,
-        }
+        legall53_fwd_sliced(&cols[0], &mut self.low, &mut self.high);
+        let mut encoded = recycled.unwrap_or_default();
+        let (t_low, t_high) = self.clamp_high();
+        encode_column_sliced_into(&self.low, t_low, &mut encoded[0]);
+        encode_column_sliced_into(&self.high, t_high, &mut encoded[1]);
+        self.finish_group(encoded)
     }
 
     fn try_decode_group(&mut self, enc: &Self::Encoded) -> Result<Vec<Vec<Pixel>>, String> {
-        if self.cfg.hot_path != HotPath::Scalar {
-            let mut out = Vec::new();
-            self.try_decode_group_into(enc, &mut out)?;
-            return Ok(out);
-        }
-        for e in enc {
-            self.codec.record_decoded(e);
-        }
-        let low = decode_column_checked(&enc[0])?;
-        let high = decode_column_checked(&enc[1])?;
-        legall53_inverse(&low, &high, &mut self.scratch);
-        Ok(vec![self
-            .scratch
-            .iter()
-            .map(|&v| v.clamp(0, 255) as Pixel)
-            .collect()])
+        let mut out = Vec::new();
+        self.try_decode_group_into(enc, &mut out)?;
+        Ok(out)
     }
 
     fn try_decode_group_into(
@@ -1039,8 +1087,9 @@ impl LineCodec for LeGall53Codec {
         enc: &Self::Encoded,
         out: &mut Vec<Vec<Pixel>>,
     ) -> Result<(), String> {
-        if self.cfg.hot_path == HotPath::Scalar {
-            *out = self.try_decode_group(enc)?;
+        #[cfg(any(test, feature = "oracle"))]
+        if self.cfg.scalar_reference {
+            *out = self.decode_group_scalar(enc)?;
             return Ok(());
         }
         for e in enc {

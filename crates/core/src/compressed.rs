@@ -39,21 +39,6 @@ use crate::codec::HaarIwtCodec;
 /// the paper's Haar IWT codec.
 pub type CompressedSlidingWindow = SlidingWindow<HaarIwtCodec>;
 
-/// Statistics of one frame through the compressed architecture. The
-/// unified [`crate::FrameStats`].
-#[deprecated(
-    since = "0.1.0",
-    note = "pre-unification alias; use sw_core::FrameStats"
-)]
-pub type CompressedFrameStats = crate::arch::FrameStats;
-
-/// Output of one frame.
-#[deprecated(
-    since = "0.1.0",
-    note = "pre-unification alias; use sw_core::FrameOutput"
-)]
-pub type CompressedOutput = crate::arch::FrameOutput;
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -34,20 +34,6 @@ use crate::codec::HaarTwoLevelCodec;
 /// two-level Haar codec.
 pub type TwoLevelCompressedSlidingWindow = SlidingWindow<HaarTwoLevelCodec>;
 
-/// Per-frame statistics. The unified [`crate::FrameStats`].
-#[deprecated(
-    since = "0.1.0",
-    note = "pre-unification alias; use sw_core::FrameStats"
-)]
-pub type TwoLevelFrameStats = crate::arch::FrameStats;
-
-/// Output of one frame.
-#[deprecated(
-    since = "0.1.0",
-    note = "pre-unification alias; use sw_core::FrameOutput"
-)]
-pub type TwoLevelOutput = crate::arch::FrameOutput;
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -3,7 +3,7 @@
 use crate::codec::LineCodecKind;
 use crate::error::SwError;
 use crate::Coeff;
-use sw_bitstream::{HotPath, Sample, NBITS_FIELD_BITS};
+use sw_bitstream::{Sample, NBITS_FIELD_BITS};
 
 /// Which sub-bands the threshold applies to.
 ///
@@ -118,11 +118,12 @@ pub struct ArchConfig {
     /// Line codec buffering the recirculated rows (the paper's Haar IWT
     /// by default; see [`crate::codec`] for the full matrix).
     pub codec: LineCodecKind,
-    /// Which hot-path implementation the codecs run: the scalar reference
-    /// or the u64 bit-sliced kernels. Both produce bit-identical streams;
-    /// defaults to the `SWC_HOT_PATH` environment variable (sliced when
-    /// unset).
-    pub hot_path: HotPath,
+    /// Run the codecs on the per-coefficient scalar reference kernels
+    /// instead of the u64 bit-sliced product path. Only the differential
+    /// oracles set it; both must produce bit-identical streams.
+    #[cfg(any(test, feature = "oracle"))]
+    #[doc(hidden)]
+    pub scalar_reference: bool,
 }
 
 impl ArchConfig {
@@ -147,13 +148,16 @@ impl ArchConfig {
             pixel_bits: 8,
             coeff_mode: CoeffMode::default(),
             codec: LineCodecKind::default(),
-            hot_path: HotPath::from_env(),
+            #[cfg(any(test, feature = "oracle"))]
+            scalar_reference: false,
         }
     }
 
-    /// Set the hot-path implementation (builder style).
-    pub fn with_hot_path(mut self, hp: HotPath) -> Self {
-        self.hot_path = hp;
+    /// Switch the codecs to the scalar reference kernels (builder style;
+    /// differential oracles only).
+    #[cfg(any(test, feature = "oracle"))]
+    pub fn with_scalar_reference(mut self) -> Self {
+        self.scalar_reference = true;
         self
     }
 
@@ -245,7 +249,6 @@ impl ArchConfig {
             pixel_bits: 8,
             coeff_mode: CoeffMode::default(),
             codec: LineCodecKind::default(),
-            hot_path: HotPath::from_env(),
         }
     }
 
@@ -311,16 +314,9 @@ pub struct ArchConfigBuilder {
     pixel_bits: u32,
     coeff_mode: CoeffMode,
     codec: LineCodecKind,
-    hot_path: HotPath,
 }
 
 impl ArchConfigBuilder {
-    /// Set the hot-path implementation.
-    pub fn hot_path(mut self, hp: HotPath) -> Self {
-        self.hot_path = hp;
-        self
-    }
-
     /// Set the line codec.
     pub fn codec(mut self, codec: LineCodecKind) -> Self {
         self.codec = codec;
@@ -373,7 +369,8 @@ impl ArchConfigBuilder {
             pixel_bits: self.pixel_bits,
             coeff_mode: self.coeff_mode,
             codec: self.codec,
-            hot_path: self.hot_path,
+            #[cfg(any(test, feature = "oracle"))]
+            scalar_reference: false,
         };
         cfg.validate()?;
         Ok(cfg)

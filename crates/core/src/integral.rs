@@ -22,13 +22,14 @@
 //! and runs on the pool via `par_map_indexed`; phase 2 (the running column
 //! sum and the digest) is a serial fold in row order. The report is
 //! therefore **byte-identical for any `--jobs` value**, and identical
-//! between the scalar and bit-sliced hot paths (the conformance harness
-//! pins both).
+//! between the bit-sliced product kernels and the scalar reference (the
+//! conformance harness pins both).
 
 use crate::error::{Result, SwError};
+#[cfg(any(test, feature = "oracle"))]
+use sw_bitstream::{decode_column_checked_into_of, encode_column_into_of};
 use sw_bitstream::{
-    decode_column_checked_into_of, decode_column_sliced_into_of, encode_column_into_of,
-    encode_column_sliced_into_of, EncodedColumn, Fnv64, HotPath, Sample,
+    decode_column_sliced_into_of, encode_column_sliced_into_of, EncodedColumn, Fnv64, Sample,
 };
 use sw_image::{integral::max_row_prefix_sum, row_prefix_sums, ImageU8};
 use sw_pool::ThreadPool;
@@ -77,18 +78,12 @@ pub struct IntegralConfig {
     /// `segment`-sample columns, each carrying its own NBits field —
     /// the wide analogue of the paper's per-column management granularity.
     pub segment: usize,
-    /// Which codec hot path encodes/decodes the segments.
-    pub hot_path: HotPath,
 }
 
 impl Default for IntegralConfig {
-    /// Segments of 8 (the evaluation's default window height) on the
-    /// default hot path.
+    /// Segments of 8 (the evaluation's default window height).
     fn default() -> Self {
-        Self {
-            segment: 8,
-            hot_path: HotPath::default(),
-        }
+        Self { segment: 8 }
     }
 }
 
@@ -137,25 +132,37 @@ struct PackedLine {
     payload_bits: u64,
 }
 
+/// Pack and unpack one segment on the bit-sliced kernels, or on the scalar
+/// reference when `scalar` is set (oracle builds only).
+fn roundtrip(
+    seg: &[WideCoeff],
+    scalar: bool,
+    enc: &mut EncodedColumn,
+    dec: &mut Vec<WideCoeff>,
+) -> std::result::Result<(), String> {
+    #[cfg(any(test, feature = "oracle"))]
+    if scalar {
+        encode_column_into_of::<WideCoeff>(seg, 0, enc);
+        return decode_column_checked_into_of::<WideCoeff>(enc, dec);
+    }
+    debug_assert!(!scalar, "the scalar reference needs the `oracle` feature");
+    encode_column_sliced_into_of::<WideCoeff>(seg, 0, enc);
+    decode_column_sliced_into_of::<WideCoeff>(enc, dec)
+}
+
 fn pack_line(
     y: usize,
     row: &[u8],
     cfg: &IntegralConfig,
+    scalar: bool,
     enc: &mut EncodedColumn,
     dec: &mut Vec<WideCoeff>,
 ) -> Result<PackedLine> {
     let rs = row_prefix_sums(row);
     let mut payload_bits = 0u64;
     for (s, seg) in rs.chunks(cfg.segment).enumerate() {
-        match cfg.hot_path {
-            HotPath::Scalar => encode_column_into_of::<WideCoeff>(seg, 0, enc),
-            HotPath::Sliced => encode_column_sliced_into_of::<WideCoeff>(seg, 0, enc),
-        }
+        let decoded = roundtrip(seg, scalar, enc, dec);
         payload_bits += enc.payload_bits;
-        let decoded = match cfg.hot_path {
-            HotPath::Scalar => decode_column_checked_into_of::<WideCoeff>(enc, dec),
-            HotPath::Sliced => decode_column_sliced_into_of::<WideCoeff>(enc, dec),
-        };
         decoded.map_err(|detail| {
             SwError::config(format!("integral line {y} segment {s}: {detail}"))
         })?;
@@ -185,6 +192,31 @@ pub fn analyze_integral(
     cfg: &IntegralConfig,
     pool: &ThreadPool,
 ) -> Result<IntegralReport> {
+    run_integral(img, cfg, pool, false)
+}
+
+/// [`analyze_integral`] on the scalar reference kernels instead of the
+/// bit-sliced product path — the differential oracles' other side. The
+/// report must be identical.
+///
+/// # Errors
+///
+/// Exactly those of [`analyze_integral`].
+#[cfg(any(test, feature = "oracle"))]
+pub fn analyze_integral_scalar_reference(
+    img: &ImageU8,
+    cfg: &IntegralConfig,
+    pool: &ThreadPool,
+) -> Result<IntegralReport> {
+    run_integral(img, cfg, pool, true)
+}
+
+fn run_integral(
+    img: &ImageU8,
+    cfg: &IntegralConfig,
+    pool: &ThreadPool,
+    scalar: bool,
+) -> Result<IntegralReport> {
     let (w, h) = (img.width(), img.height());
     if cfg.segment == 0 {
         return Err(SwError::config("integral segment must be >= 1"));
@@ -200,7 +232,7 @@ pub fn analyze_integral(
     let lines = pool.par_map_indexed(h, |y| {
         let mut enc = EncodedColumn::default();
         let mut dec = Vec::with_capacity(cfg.segment);
-        pack_line(y, img.row(y), cfg, &mut enc, &mut dec)
+        pack_line(y, img.row(y), cfg, scalar, &mut enc, &mut dec)
     });
 
     // Phase 2: serial fold in row order — the running column sum is the
@@ -216,13 +248,12 @@ pub fn analyze_integral(
     let mut peak_line_bits = 0u64;
     for line in lines {
         let line = line?;
-        match cfg.hot_path {
-            HotPath::Scalar => {
-                for ((d, &a), &b) in next.iter_mut().zip(&ii).zip(&line.rs) {
-                    *d = a.wrapping_add(b);
-                }
+        if scalar {
+            for ((d, &a), &b) in next.iter_mut().zip(&ii).zip(&line.rs) {
+                *d = a.wrapping_add(b);
             }
-            HotPath::Sliced => add_slices_of::<WideCoeff>(&ii, &line.rs, &mut next),
+        } else {
+            add_slices_of::<WideCoeff>(&ii, &line.rs, &mut next);
         }
         std::mem::swap(&mut ii, &mut next);
         for &v in &ii {
@@ -253,20 +284,14 @@ mod tests {
         ImageU8::from_fn(w, h, |x, y| ((x * 7 + y * 13) % 256) as u8)
     }
 
-    fn cfg(hot_path: HotPath) -> IntegralConfig {
-        IntegralConfig {
-            segment: 8,
-            hot_path,
-        }
-    }
-
     #[test]
     fn hot_paths_and_jobs_agree_bit_for_bit() {
         let img = gradient(64, 24);
         let p1 = ThreadPool::new(1);
         let p4 = ThreadPool::new(4);
-        let scalar = analyze_integral(&img, &cfg(HotPath::Scalar), &p1).unwrap();
-        let sliced = analyze_integral(&img, &cfg(HotPath::Sliced), &p4).unwrap();
+        let cfg = IntegralConfig::default();
+        let scalar = analyze_integral_scalar_reference(&img, &cfg, &p1).unwrap();
+        let sliced = analyze_integral(&img, &cfg, &p4).unwrap();
         assert_eq!(scalar, sliced);
     }
 
@@ -310,10 +335,7 @@ mod tests {
     fn geometry_guards_reject_bad_configs() {
         let img = gradient(16, 4);
         let pool = ThreadPool::new(1);
-        let bad = IntegralConfig {
-            segment: 0,
-            hot_path: HotPath::Scalar,
-        };
+        let bad = IntegralConfig { segment: 0 };
         assert!(analyze_integral(&img, &bad, &pool).is_err());
     }
 

@@ -17,7 +17,6 @@ use crate::faults::FaultInjector;
 use crate::kernels::WindowKernel;
 use crate::memory_unit::MemoryUnitConfig;
 use crate::planner::{plan, traditional_brams, BramPlan, MgmtAccounting};
-use sw_bitstream::HotPath;
 use sw_image::ImageU8;
 use sw_telemetry::TelemetryHandle;
 
@@ -81,7 +80,6 @@ pub struct Pipeline {
     telemetry: TelemetryHandle,
     memory_unit: Option<MemoryUnitConfig>,
     faults: Option<FaultInjector>,
-    hot_path: HotPath,
 }
 
 impl Pipeline {
@@ -97,15 +95,7 @@ impl Pipeline {
             telemetry: TelemetryHandle::disabled(),
             memory_unit: None,
             faults: None,
-            hot_path: HotPath::from_env(),
         }
-    }
-
-    /// Run every stage's codec on the given hot path (defaults to the
-    /// `SWC_HOT_PATH` environment variable, sliced when unset).
-    pub fn with_hot_path(mut self, hot_path: HotPath) -> Self {
-        self.hot_path = hot_path;
-        self
     }
 
     /// Enforce a memory-unit capacity on every stage (the same budget per
@@ -169,8 +159,7 @@ impl Pipeline {
             let _stage_span = self.telemetry.profile_span(&stage_name);
             let cfg = ArchConfig::new(n, img.width())
                 .with_codec(stage.codec)
-                .with_threshold(stage.threshold)
-                .with_hot_path(self.hot_path);
+                .with_threshold(stage.threshold);
             let mut arch = build_arch(&cfg)?;
             arch.bind_telemetry(&self.telemetry, &stage_name);
             if self.memory_unit.is_some() {
@@ -238,8 +227,7 @@ impl Pipeline {
             let _stage_span = self.telemetry.profile_span(&stage_name);
             let cfg = ArchConfig::new(n, img.width())
                 .with_codec(stage.codec)
-                .with_threshold(stage.threshold)
-                .with_hot_path(self.hot_path);
+                .with_threshold(stage.threshold);
             let mut runner = crate::shard::ShardedFrameRunner::new(cfg)
                 .with_strips(strips)
                 .with_named_telemetry(&self.telemetry, &stage_name);

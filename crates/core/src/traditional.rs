@@ -21,22 +21,6 @@ use crate::codec::RawCodec;
 /// codec.
 pub type TraditionalSlidingWindow = SlidingWindow<RawCodec>;
 
-/// Statistics of one processed frame. The unified [`crate::FrameStats`];
-/// the former `buffer_bits` field is now `raw_buffer_bits` (same value:
-/// `(N − 1) × (W − N) × pixel_bits`).
-#[deprecated(
-    since = "0.1.0",
-    note = "pre-unification alias; use sw_core::FrameStats"
-)]
-pub type TraditionalFrameStats = crate::arch::FrameStats;
-
-/// Output of one frame.
-#[deprecated(
-    since = "0.1.0",
-    note = "pre-unification alias; use sw_core::FrameOutput"
-)]
-pub type TraditionalOutput = crate::arch::FrameOutput;
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -265,7 +265,7 @@ fn ragged_heights_and_strip_counts_are_deterministic() {
 
 #[test]
 fn hot_path_is_jobs_invariant_and_matches_the_scalar_oracle() {
-    // ISSUE 7: the u64 bit-sliced hot path must be byte-identical to the
+    // The u64 bit-sliced hot path must be byte-identical to the
     // scalar oracle under the sharded runner too, at jobs {1, max} — the
     // per-strip scratch arenas may not introduce any jobs- or
     // path-dependence.
@@ -274,25 +274,24 @@ fn hot_path_is_jobs_invariant_and_matches_the_scalar_oracle() {
     let max_jobs = *jobs_grid().last().unwrap();
     for codec in LineCodecKind::ALL {
         for t in [0i16, 4] {
-            let run = |hp: sw_core::HotPath, jobs: usize| {
+            let base = ArchConfig::new(N, img.width())
+                .with_codec(codec)
+                .with_threshold(t);
+            let run = |cfg: ArchConfig, jobs: usize| {
                 let pool = ThreadPool::new(jobs);
-                let cfg = ArchConfig::new(N, img.width())
-                    .with_codec(codec)
-                    .with_threshold(t)
-                    .with_hot_path(hp);
                 ShardedFrameRunner::new(cfg)
                     .with_strips(4)
                     .run(&img, &kernel, &pool)
                     .unwrap()
             };
-            let reference = run(sw_core::HotPath::Scalar, 1);
-            for hp in sw_core::HotPath::ALL {
+            let reference = run(base.with_scalar_reference(), 1);
+            for (path, cfg) in [("scalar", base.with_scalar_reference()), ("sliced", base)] {
                 for jobs in [1usize, max_jobs] {
-                    let got = run(hp, jobs);
+                    let got = run(cfg, jobs);
                     assert_outputs_identical(
                         &got,
                         &reference,
-                        &format!("{} T={t} {} jobs={jobs}", codec.name(), hp.name()),
+                        &format!("{} T={t} {path} jobs={jobs}", codec.name()),
                     );
                 }
             }

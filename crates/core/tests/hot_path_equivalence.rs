@@ -1,8 +1,8 @@
-//! Scalar-vs-sliced differential battery for the SIMD hot path (ISSUE 7).
+//! Scalar-vs-sliced differential battery for the bit-sliced hot path.
 //!
-//! The u64 bit-sliced kernels (`HotPath::Sliced`, the default) must be
-//! bit-indistinguishable from the original per-coefficient loops
-//! (`HotPath::Scalar`, kept permanently as the oracle): same output
+//! The u64 bit-sliced kernels (the product path) must be
+//! bit-indistinguishable from the original per-coefficient loops (the
+//! scalar reference behind the `oracle` feature): same output
 //! frame, same [`FrameStats`] down to every counter (packed bits, NBits
 //! management bits, per-band totals, occupancy watermarks), for every
 //! codec, across awkward geometries (odd widths, minimum-legal widths),
@@ -17,7 +17,6 @@ use sw_core::arch::{build_arch, FrameOutput};
 use sw_core::codec::LineCodecKind;
 use sw_core::config::{ArchConfig, CoeffMode};
 use sw_core::kernels::{BoxFilter, Tap, WindowKernel};
-use sw_core::HotPath;
 use sw_image::ImageU8;
 
 const N: usize = 8;
@@ -78,10 +77,15 @@ fn assert_frames_identical(sliced: &FrameOutput, scalar: &FrameOutput, what: &st
     }
 }
 
-/// Run `img` under both hot paths and demand bit-identical results.
+/// `cfg` on the product path and on the scalar reference, named.
+fn both_paths(cfg: ArchConfig) -> [(&'static str, ArchConfig); 2] {
+    [("sliced", cfg), ("scalar", cfg.with_scalar_reference())]
+}
+
+/// Run `img` on both paths and demand bit-identical results.
 fn assert_paths_agree(base: ArchConfig, img: &ImageU8, kernel: &dyn WindowKernel, what: &str) {
-    let sliced = run(base.with_hot_path(HotPath::Sliced), img, kernel);
-    let scalar = run(base.with_hot_path(HotPath::Scalar), img, kernel);
+    let sliced = run(base, img, kernel);
+    let scalar = run(base.with_scalar_reference(), img, kernel);
     assert_frames_identical(&sliced, &scalar, what);
 }
 
@@ -157,22 +161,23 @@ fn coefficient_extremes_agree_in_both_datapath_modes() {
 #[test]
 fn invalid_geometries_are_rejected_identically() {
     // Widths below window + group (including W < N) must be rejected at
-    // config time by both paths — the hot path may not change what is a
-    // legal configuration.
+    // config time on both paths — the scalar reference may not change
+    // what is a legal configuration.
     for codec in LineCodecKind::ALL {
         for w in [1usize, N - 1, N, N + codec.group_width() - 1] {
-            for hp in HotPath::ALL {
-                let err = ArchConfig::builder(N, w)
-                    .codec(codec)
-                    .hot_path(hp)
-                    .build()
+            assert!(ArchConfig::builder(N, w).codec(codec).build().is_err());
+            let mut cfg = ArchConfig::new(N, N + 2).with_codec(codec);
+            cfg.width = w;
+            for (path, cfg) in both_paths(cfg) {
+                let err = cfg
+                    .validate()
                     .expect_err("undersized width must be rejected");
                 assert!(
                     matches!(err, sw_core::error::SwError::Config(_)),
-                    "{} w={w} {}: {err}",
+                    "{} w={w} {path}: {err}",
                     codec.name(),
-                    hp.name()
                 );
+                assert!(build_arch(&cfg).is_err(), "{} w={w} {path}", codec.name());
             }
         }
     }
@@ -194,14 +199,13 @@ fn scratch_arenas_do_not_bleed_across_frames() {
         bars(64, 40),
     ];
     for codec in LineCodecKind::ALL {
-        for hp in HotPath::ALL {
-            for t in [0i16, 4] {
-                let cfg = ArchConfig::builder(N, 64)
-                    .codec(codec)
-                    .threshold(t)
-                    .hot_path(hp)
-                    .build()
-                    .unwrap();
+        for t in [0i16, 4] {
+            let base = ArchConfig::builder(N, 64)
+                .codec(codec)
+                .threshold(t)
+                .build()
+                .unwrap();
+            for (path, cfg) in both_paths(base) {
                 let mut reused = build_arch(&cfg).unwrap();
                 for (i, img) in frames.iter().enumerate() {
                     let got = reused.process_frame(img, &kernel).unwrap();
@@ -209,7 +213,7 @@ fn scratch_arenas_do_not_bleed_across_frames() {
                     assert_frames_identical(
                         &got,
                         &fresh,
-                        &format!("{} {} T={t} frame {i}", codec.name(), hp.name()),
+                        &format!("{} {path} T={t} frame {i}", codec.name()),
                     );
                 }
             }
@@ -220,8 +224,9 @@ fn scratch_arenas_do_not_bleed_across_frames() {
 #[test]
 fn wide_integral_engine_agrees_across_hot_paths_and_jobs() {
     // The i32 mirror of the battery: the integral engine instantiates the
-    // width-generic column codec at 32 bits, so both hot paths (and any
-    // pool size) must produce identical reports — digest included.
+    // width-generic column codec at 32 bits, so both paths (and any pool
+    // size) must produce identical reports — digest included.
+    use sw_core::integral::analyze_integral_scalar_reference;
     use sw_core::{analyze_integral, IntegralConfig};
     use sw_pool::ThreadPool;
     let p1 = ThreadPool::new(1);
@@ -234,9 +239,9 @@ fn wide_integral_engine_agrees_across_hot_paths_and_jobs() {
         ImageU8::filled(128, 9, 255), // worst-case monotone ramps
     ] {
         for segment in [4usize, 8, 16] {
-            let mk = |hot_path| IntegralConfig { segment, hot_path };
-            let scalar = analyze_integral(&img, &mk(HotPath::Scalar), &p1).unwrap();
-            let sliced = analyze_integral(&img, &mk(HotPath::Sliced), &pn).unwrap();
+            let cfg = IntegralConfig { segment };
+            let scalar = analyze_integral_scalar_reference(&img, &cfg, &p1).unwrap();
+            let sliced = analyze_integral(&img, &cfg, &pn).unwrap();
             assert_eq!(
                 scalar,
                 sliced,

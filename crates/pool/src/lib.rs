@@ -1,7 +1,8 @@
 //! A small `std::thread` work-stealing pool.
 //!
-//! This crate backs the workspace's parallel iterators (the vendored
-//! `rayon` facade) and the halo-sharded frame runner in `sw-core`. It is
+//! This crate backs the workspace's parallel dataset sweeps
+//! ([`ThreadPool::par_map`] on [`global`]) and the halo-sharded frame
+//! runner in `sw-core`. It is
 //! deliberately tiny: one global injector queue plus one deque per worker,
 //! condvar parking, and a *caller-helps* batch primitive
 //! ([`ThreadPool::par_map_indexed`]) that guarantees forward progress even
@@ -553,7 +554,7 @@ pub fn default_jobs() -> usize {
 
 static GLOBAL: OnceLock<ThreadPool> = OnceLock::new();
 
-/// The process-wide pool used by the `rayon` facade's `par_iter`.
+/// The process-wide pool the dataset sweeps `par_map` on.
 ///
 /// First use initialises it with [`default_jobs`] threads unless
 /// [`configure_global`] ran earlier.

@@ -14,20 +14,20 @@
 //!   a segment instead of the full width. Saves BRAMs, but columns shared
 //!   by adjacent segments are fetched twice and "it requires pixels to be
 //!   in off-chip memory" (no camera streaming).
-//! * [`locoi`] — a LOCO-I / JPEG-LS-style lossless compressor (ref \[8]):
-//!   MED prediction plus adaptive Golomb–Rice coding. The paper's first
-//!   contribution claims its much simpler scheme "gives comparable
+//! * [`locoi_encode`] and friends — a LOCO-I / JPEG-LS-style lossless
+//!   compressor (ref \[8]): MED prediction plus adaptive Golomb–Rice
+//!   coding, re-exported from [`sw_bitstream::locoi`] (where `sw-core`'s
+//!   line-codec layer can wrap it without a dependency cycle). The paper's
+//!   first contribution claims its much simpler scheme "gives comparable
 //!   compression ratios to the state of the art compression algorithms";
-//!   this module lets the benchmark harness check that claim on the same
-//!   dataset.
+//!   these let the benchmark harness check that claim on the same dataset.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod block_buffer;
-pub mod locoi;
 pub mod segmented;
 
 pub use block_buffer::BlockBufferPlan;
-pub use locoi::{locoi_compressed_bits, locoi_decode, locoi_encode};
 pub use segmented::SegmentedPlan;
+pub use sw_bitstream::locoi::{locoi_compressed_bits, locoi_decode, locoi_encode};

@@ -4,7 +4,7 @@
 //! — is the *single* source of truth for "run this workload on this
 //! frame". The `swc analyze|sweep|bench` subcommands build their
 //! configuration through [`JobSpecBuilder`] (one flag parser for
-//! `--codec`, `--hot-path`, `--jobs`, `--workload`, `--overflow-policy`,
+//! `--codec`, `--jobs`, `--workload`, `--overflow-policy`,
 //! `--budget-fraction`, …), the daemon decodes the same type off the
 //! socket, and the client/load-generator encodes it back. Encoding is
 //! hand-rolled canonical little-endian (see [`crate::wire`]): the same
@@ -122,7 +122,8 @@ pub struct JobSpec {
     pub policy: ThresholdPolicy,
     /// Line codec buffering the recirculated rows.
     pub codec: LineCodecKind,
-    /// Scalar reference or u64 bit-sliced kernels.
+    /// The hot-path tag of protocol v1/v2 requests. Carried for wire
+    /// compatibility; not read: every job runs the bit-sliced kernels.
     pub hot_path: HotPath,
     /// The served kernel (window workload only).
     pub kernel: JobKernel,
@@ -142,7 +143,7 @@ impl Default for JobSpec {
             threshold: 0,
             policy: ThresholdPolicy::default(),
             codec: LineCodecKind::default(),
-            hot_path: HotPath::from_env(),
+            hot_path: HotPath::default(),
             kernel: JobKernel::default(),
             jobs: 0,
             overflow_policy: None,
@@ -164,7 +165,6 @@ impl JobSpec {
             .threshold(self.threshold)
             .policy(self.policy)
             .codec(self.codec)
-            .hot_path(self.hot_path)
             .build()
     }
 
@@ -839,7 +839,6 @@ pub struct JobSpecBuilder {
     policy: Option<ThresholdPolicy>,
     workload: Option<Workload>,
     codec: Option<LineCodecKind>,
-    hot_path: Option<HotPath>,
     kernel: Option<JobKernel>,
     jobs: Option<usize>,
     overflow_policy: Option<OverflowPolicy>,
@@ -863,7 +862,6 @@ impl JobSpecBuilder {
             "--policy" => self.set_policy(value),
             "--workload" => self.set_workload(value),
             "--codec" => self.set_codec(value),
-            "--hot-path" => self.set_hot_path(value),
             "--kernel" => self.set_kernel(value),
             "--jobs" => self.set_jobs(value),
             "--overflow-policy" => self.set_overflow_policy(value),
@@ -905,14 +903,6 @@ impl JobSpecBuilder {
         self.codec = Some(
             LineCodecKind::parse(v)
                 .ok_or_else(|| format!("unknown codec '{v}' (raw, haar, haar2, legall, locoi)"))?,
-        );
-        Ok(())
-    }
-
-    /// Parse `--hot-path`.
-    pub fn set_hot_path(&mut self, v: &str) -> Result<(), String> {
-        self.hot_path = Some(
-            HotPath::parse(v).ok_or_else(|| format!("unknown hot path '{v}' (scalar, sliced)"))?,
         );
         Ok(())
     }
@@ -977,7 +967,6 @@ impl JobSpecBuilder {
                 | "--policy"
                 | "--workload"
                 | "--codec"
-                | "--hot-path"
                 | "--kernel"
                 | "--jobs"
                 | "--overflow-policy"
@@ -998,12 +987,6 @@ impl JobSpecBuilder {
     /// Whether `--codec` was explicitly set.
     pub fn codec_set(&self) -> bool {
         self.codec.is_some()
-    }
-
-    /// The hot path, if explicitly set (callers fall back to the
-    /// environment default).
-    pub fn hot_path(&self) -> Option<HotPath> {
-        self.hot_path
     }
 
     /// The pool size, if explicitly set.
@@ -1040,7 +1023,7 @@ impl JobSpecBuilder {
             threshold: self.threshold(),
             policy: self.policy.unwrap_or_default(),
             codec: self.codec(),
-            hot_path: self.hot_path.unwrap_or_else(HotPath::from_env),
+            hot_path: HotPath::default(),
             kernel: self.kernel.unwrap_or_default(),
             jobs: self.jobs.unwrap_or(0),
             overflow_policy: self.overflow_policy,
@@ -1150,7 +1133,6 @@ mod tests {
             ("--policy", "all"),
             ("--workload", "window"),
             ("--codec", "legall"),
-            ("--hot-path", "scalar"),
             ("--kernel", "box"),
             ("--jobs", "4"),
             ("--overflow-policy", "stall"),

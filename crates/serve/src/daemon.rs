@@ -1,6 +1,6 @@
 //! `swc serve`: the long-running daemon.
 //!
-//! One [`reactor`](crate::reactor) thread multiplexes the listener and
+//! One [`crate::reactor`] thread multiplexes the listener and
 //! every connection through a single `poll(2)` ready set, one shared
 //! [`ThreadPool`] every job executes on, one [`TenantGovernor`]
 //! multiplexing tenants over it. All serving state is observable through

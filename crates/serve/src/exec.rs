@@ -87,7 +87,6 @@ fn execute_integral(
 ) -> Result<JobResponse, JobError> {
     let cfg = IntegralConfig {
         segment: req.spec.window,
-        hot_path: req.spec.hot_path,
     };
     let started = Instant::now();
     let r = analyze_integral(img, &cfg, pool).map_err(|e| JobError::from_sw(&e))?;

@@ -1,6 +1,6 @@
 //! Served-vs-local conformance: a daemon round trip must reproduce the
 //! blessed golden digests bit-for-bit — window and integral workloads,
-//! both hot paths. The corpus is loaded back through
+//! under either hot-path wire tag. The corpus is loaded back through
 //! [`sw_conformance::golden_window_digests`], mapped onto the typed job
 //! API, and replayed over a real socket; any divergence means the wire
 //! codec, the daemon dispatch, or the executor broke the contract that
@@ -10,10 +10,11 @@ use sw_bitstream::HotPath;
 use sw_conformance::corpus::{golden_integral_digests, golden_window_digests, GoldenDigest};
 use sw_conformance::{default_vectors_dir, CaseSpec};
 use sw_serve::api::{FramePayload, JobKernel};
-use sw_serve::{Client, Daemon, DaemonConfig, JobRequest, JobSpec, Listen};
+use sw_serve::{Client, Daemon, DaemonConfig, JobRequest, JobResponse, JobSpec, Listen};
 
-/// Map one corpus case onto the job API. `None` for cases the serving
-/// surface does not carry (fault injection is a harness-only axis).
+/// Map one corpus case onto the job API, sending `hot_path` as the wire
+/// tag. `None` for cases the serving surface does not carry (fault
+/// injection is a harness-only axis).
 fn request_for(spec: &CaseSpec, hot_path: HotPath) -> Option<JobRequest> {
     if spec.fault_seed.is_some() {
         return None;
@@ -108,9 +109,9 @@ fn daemon_round_trip_reproduces_the_golden_corpus() {
     let listen = Listen::Tcp(daemon.local_addr().expect("tcp bound").to_string());
     let mut client = Client::connect(&listen).expect("client connects");
 
-    // The production hot path covers the full grid; the scalar oracle
-    // replays the lossless unbounded cells (the digests are hot-path
-    // invariant, so both must land on the same goldens).
+    // The default tag covers the full grid; the retired scalar tag (0)
+    // replays the lossless unbounded cells. The daemon ignores the tag,
+    // so both must land on the same goldens.
     let full = replay(&mut client, &window, HotPath::Sliced);
     assert!(
         full > 500,
@@ -150,11 +151,11 @@ fn streamed_round_trip_reproduces_the_golden_corpus() {
     let listen = Listen::Tcp(daemon.local_addr().expect("tcp bound").to_string());
     let mut client = Client::connect(&listen).expect("client connects");
 
-    // Every blessed window case rides the row-streaming mode on the
-    // production hot path (live streaming for plain window jobs, the
-    // buffered fallback for memory-unit/sharded cases — both must land
-    // on the goldens), and the scalar oracle replays the lossless
-    // subset, mirroring the whole-frame split above.
+    // Every blessed window case rides the row-streaming mode (live
+    // streaming for plain window jobs, the buffered fallback for
+    // memory-unit/sharded cases — both must land on the goldens), and the
+    // scalar tag replays the lossless subset, mirroring the whole-frame
+    // split above.
     let full = replay_streamed(&mut client, &window, HotPath::Sliced);
     assert!(
         full > 500,
@@ -177,30 +178,14 @@ fn streamed_round_trip_reproduces_the_golden_corpus() {
     assert_eq!(n, integral.len(), "integral corpus must stream fully");
 }
 
-#[test]
-fn v1_whole_frame_jobs_still_work_against_the_reactor() {
+/// Submit `req` as a strict protocol-v1 whole-frame job on a raw socket
+/// and decode the reply, asserting the daemon answered in the v1 dialect.
+fn submit_v1(addr: &str, req: &JobRequest) -> JobResponse {
     use std::io::{Read, Write};
     use sw_serve::wire::write_frame_versioned;
     use sw_serve::{FrameAssembler, MsgKind, MIN_VERSION};
 
-    let dir = default_vectors_dir();
-    let window = golden_window_digests(&dir).expect("vectors readable");
-    let golden = window
-        .iter()
-        .find_map(|g| request_for(&g.spec, HotPath::Sliced).map(|req| (req, g.digest)))
-        .expect("at least one servable golden case");
-
-    let daemon = Daemon::start(DaemonConfig {
-        listen: Listen::Tcp("127.0.0.1:0".into()),
-        ..DaemonConfig::default()
-    })
-    .expect("daemon starts");
-    let addr = daemon.local_addr().expect("tcp bound").to_string();
-
-    // Speak strict v1 on a raw socket: the daemon must execute the job
-    // and answer in the same dialect — a v1 client never sees a v2 byte.
-    let mut s = std::net::TcpStream::connect(&addr).expect("raw connect");
-    let (req, want_digest) = golden;
+    let mut s = std::net::TcpStream::connect(addr).expect("raw connect");
     write_frame_versioned(&mut s, MsgKind::Job, &req.encode(), MIN_VERSION).expect("v1 frame");
     let mut asm = FrameAssembler::new();
     let mut buf = [0u8; 4096];
@@ -215,7 +200,108 @@ fn v1_whole_frame_jobs_still_work_against_the_reactor() {
     let (kind, version, payload) = reply;
     assert_eq!(kind, MsgKind::JobOk);
     assert_eq!(version, MIN_VERSION, "the reply must echo the v1 dialect");
-    let resp = sw_serve::JobResponse::decode(&payload).expect("v1 response decodes");
-    assert_eq!(resp.digest, want_digest, "v1 job must land on the golden");
     let _ = s.flush();
+    JobResponse::decode(&payload).expect("v1 response decodes")
+}
+
+fn start_tcp_daemon() -> (Daemon, String) {
+    let daemon = Daemon::start(DaemonConfig {
+        listen: Listen::Tcp("127.0.0.1:0".into()),
+        ..DaemonConfig::default()
+    })
+    .expect("daemon starts");
+    let addr = daemon.local_addr().expect("tcp bound").to_string();
+    (daemon, addr)
+}
+
+#[test]
+fn v1_whole_frame_jobs_still_work_against_the_reactor() {
+    let dir = default_vectors_dir();
+    let window = golden_window_digests(&dir).expect("vectors readable");
+    let (req, want_digest) = window
+        .iter()
+        .find_map(|g| request_for(&g.spec, HotPath::Sliced).map(|req| (req, g.digest)))
+        .expect("at least one servable golden case");
+
+    // Speak strict v1 on a raw socket: the daemon must execute the job
+    // and answer in the same dialect — a v1 client never sees a v2 byte.
+    let (_daemon, addr) = start_tcp_daemon();
+    let resp = submit_v1(&addr, &req);
+    assert_eq!(resp.digest, want_digest, "v1 job must land on the golden");
+}
+
+#[test]
+fn hot_path_wire_tags_are_accepted_and_ignored() {
+    use sw_pool::ThreadPool;
+    use sw_serve::exec;
+    use sw_serve::WireError;
+    use sw_telemetry::TelemetryHandle;
+
+    // Requests still carry the hot-path tag of the v1/v2 protocol (0 =
+    // the retired scalar selector, 1 = sliced). The daemon no longer
+    // reads it: either tag, at either version, whole or streamed, must
+    // land on the digest a local `exec::execute` computes.
+    let dir = default_vectors_dir();
+    let window = golden_window_digests(&dir).expect("vectors readable");
+    let integral = golden_integral_digests(&dir).expect("vectors readable");
+    let lossless = window
+        .iter()
+        .find(|g| g.spec.threshold == 0 && g.spec.policy.is_none() && g.spec.fault_seed.is_none());
+    let lossy = window
+        .iter()
+        .find(|g| g.spec.threshold > 0 && g.spec.policy.is_none() && g.spec.fault_seed.is_none());
+    let cases: Vec<&GoldenDigest> = [lossless, lossy, integral.first()]
+        .into_iter()
+        .map(|g| g.expect("servable golden case of every kind"))
+        .collect();
+
+    let (_daemon, addr) = start_tcp_daemon();
+    let mut client = Client::connect(&Listen::Tcp(addr.clone())).expect("client connects");
+    let pool = ThreadPool::new(1);
+    for g in cases {
+        let id = g.spec.id();
+        let base = request_for(&g.spec, HotPath::default()).expect("servable");
+        let local = exec::execute(&base, &pool, &TelemetryHandle::disabled())
+            .unwrap_or_else(|e| panic!("{id}: local exec failed: {e}"))
+            .digest;
+        assert_eq!(local, g.digest, "{id}: local exec vs golden");
+        for hp in HotPath::ALL {
+            let req = request_for(&g.spec, hp).expect("servable");
+            let decoded = JobRequest::decode(&req.encode()).expect("valid tag decodes");
+            assert_eq!(
+                decoded.spec.hot_path, hp,
+                "{id}: tag must re-encode as sent"
+            );
+            let v1 = submit_v1(&addr, &req).digest;
+            let v2 = client.submit(&req).expect("v2 whole").digest;
+            let streamed = client.submit_streamed(&req, 3).expect("v2 streamed").digest;
+            for (how, got) in [
+                ("v1 whole", v1),
+                ("v2 whole", v2),
+                ("v2 streamed", streamed),
+            ] {
+                assert_eq!(got, local, "{id} tag {hp:?} {how}: served vs local exec");
+            }
+        }
+    }
+
+    // Outside input stays strictly decoded: tags beyond 1 are typed errors.
+    let spec = &lossless.expect("servable").spec;
+    let scalar = request_for(spec, HotPath::Scalar).unwrap().encode();
+    let sliced = request_for(spec, HotPath::Sliced).unwrap().encode();
+    let diff: Vec<usize> = (0..scalar.len())
+        .filter(|&i| scalar[i] != sliced[i])
+        .collect();
+    assert_eq!(diff.len(), 1, "the tag is one byte");
+    for tag in [2u8, 3, 255] {
+        let mut bytes = sliced.clone();
+        bytes[diff[0]] = tag;
+        assert!(
+            matches!(
+                JobRequest::decode(&bytes),
+                Err(WireError::BadTag { what: "hot path", tag: t }) if t == u32::from(tag)
+            ),
+            "tag {tag} must be rejected"
+        );
+    }
 }

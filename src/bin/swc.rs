@@ -55,18 +55,15 @@ usage:
               [--codec C] [--metrics-out FILE.json] [--trace FILE.jsonl]
               [--trace-chrome FILE.json] [--flame] [--jobs N]
               [--overflow-policy fail|stall|degrade] [--budget-fraction F]
-              [--fault-seed N] [--hot-path scalar|sliced]
-              [--workload window|integral]
+              [--fault-seed N] [--workload window|integral]
   swc plan    <image.pgm> --window N [--threshold T]
   swc sweep   <image.pgm> --window N [--codec C] [--metrics-out FILE.json] [--jobs N]
               [--overflow-policy fail|stall|degrade] [--budget-fraction F]
-              [--fault-seed N] [--hot-path scalar|sliced]
-              [--workload window|integral]
+              [--fault-seed N] [--workload window|integral]
   swc scene   <name|index> <out.pgm> [--size WxH]
   swc conform [--all] [--bless] [--fuzz N] [--seed S] [--vectors DIR]
-              [--hot-path scalar|sliced]
   swc bench   [--json] [--quick] [--out FILE] [--jobs N]
-              [--hot-path scalar|sliced] [--workload window|integral]
+              [--workload window|integral]
   swc bench   --compare BASE.json NEW.json [--max-loss PCT] [--warn-only]
   swc serve   --listen tcp:HOST:PORT|unix:PATH [--jobs N]
               [--tenant-budget-mbits M] [--tenant-policy fail|stall|degrade]
@@ -114,15 +111,10 @@ granularity, bench times the integral/wide/{seq,par} cells. The integral
 workload is inherently lossless, so --threshold/--codec and the memory
 unit/fault knobs do not apply.
 
---hot-path selects the codec implementation: 'sliced' (default) runs the
-u64 bit-sliced SIMD hot path, 'scalar' runs the original per-coefficient
-loops kept as the differential oracle. Both produce bit-identical output
-(enforced by conformance); the flag overrides the SWC_HOT_PATH
-environment variable.
-
 swc conform runs the conformance harness: --all checks the checked-in
 golden vectors and runs the differential oracle battery over the whole
-corpus grid plus any shrunk fuzz reproducers; --bless regenerates the
+corpus grid plus any shrunk fuzz reproducers (the battery diffs the
+bit-sliced codecs against their scalar reference on every case); --bless regenerates the
 golden vectors after an intentional format change; --fuzz N runs an
 N-case coverage-guided campaign from --seed S (default 1), shrinking any
 failure into vectors/regressions/. --vectors DIR overrides the corpus
@@ -138,7 +130,7 @@ escalates the job threshold under load (up to --max-threshold, default
 telemetry registry including the serve.* family.
 
 swc client submits one frame-processing job (the same job flags as
-analyze: --window/--threshold/--policy/--codec/--hot-path/--kernel/--jobs/
+analyze: --window/--threshold/--policy/--codec/--kernel/--jobs/
 --overflow-policy/--budget-fraction/--workload) and prints the typed
 response; --out writes the processed frame back as PGM. --stream submits
 the job in the protocol-v2 row-streaming mode: a StreamOpen header, the
@@ -201,10 +193,6 @@ impl Opts {
 
     fn budget_fraction(&self) -> f64 {
         self.spec.budget_fraction()
-    }
-
-    fn hot_path(&self) -> Option<HotPath> {
-        self.spec.hot_path()
     }
 
     /// Whether any telemetry output was requested.
@@ -350,14 +338,6 @@ fn conform(args: &[String]) -> Result<(), String> {
             "--vectors" => {
                 vectors = PathBuf::from(next(args, &mut i)?);
             }
-            "--hot-path" => {
-                let v = next(args, &mut i)?;
-                let hp = HotPath::parse(v)
-                    .ok_or_else(|| format!("unknown hot path '{v}' (scalar, sliced)"))?;
-                // The corpus reads the hot path from the environment, so
-                // the flag routes through the same knob.
-                std::env::set_var(HotPath::ENV, hp.name());
-            }
             other => return Err(format!("unknown option '{other}'")),
         }
         i += 1;
@@ -435,14 +415,6 @@ fn bench(args: &[String]) -> Result<(), String> {
                     Workload::parse(v)
                         .ok_or_else(|| format!("unknown workload '{v}' (window, integral)"))?,
                 );
-            }
-            "--hot-path" => {
-                let v = next(args, &mut i)?;
-                let hp = HotPath::parse(v)
-                    .ok_or_else(|| format!("unknown hot path '{v}' (scalar, sliced)"))?;
-                // The bench matrix builds its configs from the
-                // environment default, so the flag routes through it.
-                std::env::set_var(HotPath::ENV, hp.name());
             }
             other => return Err(format!("unknown option '{other}'")),
         }
@@ -542,13 +514,12 @@ fn reject_window_only_knobs(o: &Opts) -> Result<(), String> {
 
 /// `swc analyze --workload integral`: stream the image through the wide
 /// packed integral-image line buffer and print its memory accounting.
-/// Segment length is `--window`; output is identical for any --jobs and
-/// both hot paths (pinned by conformance).
+/// Segment length is `--window`; output is identical for any --jobs
+/// (pinned by conformance).
 fn analyze_integral_cmd(img: &ImageU8, o: &Opts) -> Result<(), String> {
     reject_window_only_knobs(o)?;
     let cfg = IntegralConfig {
         segment: o.window(),
-        hot_path: o.hot_path().unwrap_or_else(HotPath::from_env),
     };
     let pool = ThreadPool::new(o.jobs().unwrap_or(1));
     let r = analyze_integral(img, &cfg, &pool).map_err(|e| e.to_string())?;
@@ -575,12 +546,11 @@ fn analyze_integral_cmd(img: &ImageU8, o: &Opts) -> Result<(), String> {
 /// of the threshold (the integral workload has no lossy axis).
 fn sweep_integral(img: &ImageU8, o: &Opts) -> Result<(), String> {
     reject_window_only_knobs(o)?;
-    let hot_path = o.hot_path().unwrap_or_else(HotPath::from_env);
     let pool = ThreadPool::new(o.jobs().unwrap_or(1));
     println!("segment   saving%   peak line bits   mean line bits");
     for segment in [2usize, 4, 8, 16, 32] {
-        let r = analyze_integral(img, &IntegralConfig { segment, hot_path }, &pool)
-            .map_err(|e| e.to_string())?;
+        let r =
+            analyze_integral(img, &IntegralConfig { segment }, &pool).map_err(|e| e.to_string())?;
         println!(
             "{segment:<7} {:>9.1}   {:>14}   {:>14.1}",
             r.memory_saving_pct(),

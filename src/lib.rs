@@ -21,12 +21,12 @@
 //! * [`core`] — the architectures (traditional and compressed), analyzer,
 //!   BRAM planner, kernels, pipelines, halo-sharded frame runner, adaptive
 //!   threshold control.
-//! * [`pool`] — the work-stealing thread pool behind `par_iter` and the
-//!   sharded runner (`--jobs` / `SWC_JOBS` select its size).
+//! * [`pool`] — the work-stealing thread pool behind the dataset sweeps and
+//!   the sharded runner (`--jobs` / `SWC_JOBS` select its size).
 //! * [`telemetry`] — the observability substrate: metrics registry, span
 //!   timers, hierarchical span profiler, cycle-domain trace ring,
 //!   machine-readable run reports.
-//! * [`bench`] — the evaluation harness: paper table/figure regeneration
+//! * [`bench`](mod@bench) — the evaluation harness: paper table/figure regeneration
 //!   and the `swc bench` performance matrix with its regression gate.
 //! * [`serve`] — the serving layer: the typed job API (`JobRequest` /
 //!   `JobResponse` over a canonical length-prefixed wire format), the
@@ -99,7 +99,6 @@ pub mod prelude {
     };
     pub use sw_core::stats::summarize;
     pub use sw_core::traditional::TraditionalSlidingWindow;
-    pub use sw_core::HotPath;
     pub use sw_fpga::device::Device;
     pub use sw_fpga::resources::{estimate, ModuleKind, ResourceEstimate};
     pub use sw_image::{dataset, degenerate_suite, mse, psnr, ImageRgb, ImageU8, ScenePreset};

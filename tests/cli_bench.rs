@@ -98,7 +98,6 @@ fn compare_gate_fails_on_a_doctored_slowdown_unless_warn_only() {
         schema: perf::SCHEMA.to_string(),
         version: perf::SCHEMA_VERSION,
         created_utc: "2026-08-07".to_string(),
-        hot_path: "sliced".to_string(),
         workload: "window".to_string(),
         settings: perf::BenchSettings::quick(2),
         cells: vec![cell("box/haar/seq", 10.0), cell("box/haar/par", mpix)],
