@@ -40,7 +40,7 @@ fn main() {
         }
         let mut row = vec![n.to_string()];
         for &t in &THRESHOLDS {
-            let _span = tele.span(&format!("fig13.n{n}.t{t}"));
+            let _span = tele.profile_span(&format!("fig13.n{n}.t{t}"));
             let analyses = analyze_dataset(&images, n, t, ThresholdPolicy::DetailsOnly);
             let s = savings_summary(&analyses).expect("non-empty dataset");
             tele.counter("fig13.frames_analyzed")

@@ -88,7 +88,7 @@ fn main() {
     );
     let mut rows = Vec::new();
     for &(t, paper_mse) in &paper::PAPER_MSE {
-        let _span = tele.span(&format!("mse.t{t}"));
+        let _span = tele.profile_span(&format!("mse.t{t}"));
         let pool = sw_pool::global();
         let single = pool.par_map(&images, |(_, i)| one_shot_mse(i, t));
         let comp = pool.par_map(&images, |(_, i)| compounded_mse(i, n, t, codec, &tele));

@@ -47,7 +47,7 @@ fn main() {
     };
 
     if want("table1") {
-        let _span = tele.span("tables.table1");
+        let _span = tele.profile_span("tables.table1");
         table1();
     }
     for (idx, width) in [(2usize, 512usize), (3, 1024), (4, 2048), (5, 3840)] {
@@ -58,7 +58,7 @@ fn main() {
             println!("(skipping table5 / 3840x3840 in --quick mode)\n");
             continue;
         }
-        let _span = tele.span(&format!("tables.table{idx}"));
+        let _span = tele.profile_span(&format!("tables.table{idx}"));
         packed_table(width, sweep.scenes);
     }
     for (idx, kind) in [
@@ -69,7 +69,7 @@ fn main() {
         (10, ModuleKind::Overall),
     ] {
         if want(&format!("table{idx}")) {
-            let _span = tele.span(&format!("tables.table{idx}"));
+            let _span = tele.profile_span(&format!("tables.table{idx}"));
             resource_table(idx, kind);
         }
     }

@@ -24,7 +24,7 @@ use sw_core::codec::LineCodecKind;
 use sw_core::config::ArchConfig;
 use sw_core::integral::{analyze_integral, IntegralConfig};
 use sw_core::kernels::{BoxFilter, GaussianFilter, SobelMagnitude, WindowKernel};
-use sw_core::shard::ShardedFrameRunner;
+use sw_core::shard::{ShardedFrameRunner, DEFAULT_STRIPS};
 use sw_image::{ImageU8, ScenePreset};
 use sw_pool::ThreadPool;
 use sw_telemetry::json::{self, Json};
@@ -273,17 +273,11 @@ pub fn run_cell(
 
     // One extra frame under the hierarchical profiler for the breakdown.
     let tele = TelemetryHandle::new();
-    if par {
-        ShardedFrameRunner::new(cfg)
-            .with_named_telemetry(&tele, "bench")
-            .run(img, kernel.as_ref(), pool)
-            .map_err(|e| e.to_string())?;
-    } else {
-        let mut arch = build_arch(&cfg).map_err(|e| e.to_string())?;
-        arch.bind_telemetry(&tele, "bench");
-        arch.process_frame(img, kernel.as_ref())
-            .map_err(|e| e.to_string())?;
-    }
+    ShardedFrameRunner::new(cfg)
+        .with_strips(if par { DEFAULT_STRIPS } else { 1 })
+        .with_named_telemetry(&tele, "bench")
+        .run(img, kernel.as_ref(), pool)
+        .map_err(|e| e.to_string())?;
     let snap = tele.profile_snapshot();
     let stage_breakdown = snap
         .paths

@@ -91,10 +91,12 @@ pub fn cli_setup() -> (TelemetryHandle, Option<PathBuf>) {
 }
 
 /// Write the handle's metrics report as JSON — the same schema that
-/// `swc --metrics-out` emits, so one consumer parses both.
+/// `swc --metrics-out` emits, so one consumer parses both — and print the
+/// profiler's flame table to stderr (stdout stays the report's tables).
 pub fn write_telemetry_report(telemetry: &TelemetryHandle, path: &Path) -> std::io::Result<()> {
     std::fs::write(path, telemetry.report().to_json())?;
     eprintln!("wrote telemetry report: {}", path.display());
+    eprint!("{}", telemetry.flame_table());
     Ok(())
 }
 

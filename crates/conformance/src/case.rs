@@ -8,14 +8,12 @@
 //! written to `vectors/regressions/` and replayed verbatim.
 
 use sw_bitstream::digest::splitmix64;
-use sw_core::analysis::measure_frame;
 use sw_core::codec::LineCodecKind;
 use sw_core::config::ArchConfig;
 use sw_core::error::SwError;
 use sw_core::integral::Workload;
 use sw_core::kernels::{BoxFilter, Tap, WindowKernel};
 use sw_core::memory_unit::{MemoryUnitConfig, OverflowPolicy};
-use sw_core::planner::{plan, MgmtAccounting};
 use sw_image::ImageU8;
 use sw_telemetry::json::Json;
 
@@ -333,14 +331,7 @@ impl CaseSpec {
         let probe_cfg = ArchConfig::builder(self.window, self.width)
             .codec(self.codec)
             .build()?;
-        let stats = measure_frame(&self.render(), &probe_cfg)?;
-        let bram_plan = plan(
-            self.window,
-            self.width,
-            stats.peak_payload_occupancy.max(1),
-            MgmtAccounting::Structured,
-        );
-        let base = MemoryUnitConfig::from_plan(&bram_plan, policy);
+        let base = MemoryUnitConfig::provision(&self.render(), &probe_cfg, policy)?;
         let scaled = (base.capacity_bits * u64::from(self.budget_pct) / 100).max(1);
         Ok(Some(MemoryUnitConfig {
             capacity_bits: scaled,

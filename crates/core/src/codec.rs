@@ -168,10 +168,10 @@ pub struct EncodedGroup<E> {
 ///
 /// A codec is a pure column transformer — the generic datapath in
 /// [`crate::arch::SlidingWindow`] owns all queueing, occupancy accounting,
-/// and trace emission. `encode_group` always receives exactly
-/// [`LineCodec::group_width`] columns of `cfg.window` coefficients;
-/// `decode_group` must return the same number of columns, each
-/// `cfg.window` pixels tall.
+/// and trace emission. [`LineCodec::encode_group_reuse`] always receives
+/// exactly [`LineCodec::group_width`] columns of `cfg.window`
+/// coefficients; [`LineCodec::try_decode_group_into`] must return the
+/// same number of columns, each `cfg.window` pixels tall.
 pub trait LineCodec {
     /// Coefficient word the codec's datapath carries. Every paper codec is
     /// a [`Coeff`] (i16) instance; the integral-image engine instantiates
@@ -202,58 +202,31 @@ pub trait LineCodec {
     }
 
     /// Encode one group of raw columns (as coefficients) with full cost
-    /// accounting.
-    fn encode_group(&mut self, cols: &[Vec<Self::Sample>]) -> EncodedGroup<Self::Encoded>;
-
-    /// Encode one group, optionally reusing the buffers of a retired
-    /// encoded record (one that already made its round trip through the
-    /// memory unit). Codecs with a sliced hot path overwrite the recycled
-    /// record in place instead of allocating a fresh one; the default
-    /// simply drops it and delegates to [`LineCodec::encode_group`].
+    /// accounting, optionally reusing the buffers of a retired encoded
+    /// record (one that already made its round trip through the memory
+    /// unit). Codecs with a sliced hot path overwrite the recycled record
+    /// in place instead of allocating a fresh one.
     fn encode_group_reuse(
         &mut self,
         cols: &[Vec<Self::Sample>],
         recycled: Option<Self::Encoded>,
-    ) -> EncodedGroup<Self::Encoded> {
-        let _ = recycled;
-        self.encode_group(cols)
-    }
+    ) -> EncodedGroup<Self::Encoded>;
 
-    /// Decode a group back into raw pixel columns, in eviction order,
-    /// running the codec's consistency guards: a corrupted encoding
-    /// (bit-flipped NBits/BitMap/payload) either trips a guard (`Err`)
-    /// or decodes to bounded wrong pixels — never a panic.
-    fn try_decode_group(&mut self, enc: &Self::Encoded) -> Result<Vec<Vec<Pixel>>, String>;
-
-    /// Decode a group into a caller-provided container, reusing its
-    /// column buffers. Codecs with a sliced hot path fill `out` without
-    /// allocating; the default delegates to
-    /// [`LineCodec::try_decode_group`] and replaces `out` wholesale.
+    /// Decode a group back into raw pixel columns, in eviction order, into
+    /// a caller-provided container whose column buffers are reused. The
+    /// codec's consistency guards run: a corrupted encoding (bit-flipped
+    /// NBits/BitMap/payload) either trips a guard (`Err`) or decodes to
+    /// bounded wrong pixels — never a panic.
     ///
     /// # Errors
     ///
-    /// Exactly the failures of [`LineCodec::try_decode_group`]; on error
-    /// the contents of `out` are unspecified.
+    /// The guard that tripped; on error the contents of `out` are
+    /// unspecified.
     fn try_decode_group_into(
         &mut self,
         enc: &Self::Encoded,
         out: &mut Vec<Vec<Pixel>>,
-    ) -> Result<(), String> {
-        *out = self.try_decode_group(enc)?;
-        Ok(())
-    }
-
-    /// Decode a group back into raw pixel columns, in eviction order.
-    ///
-    /// # Panics
-    ///
-    /// Panics where [`LineCodec::try_decode_group`] would return `Err`.
-    fn decode_group(&mut self, enc: &Self::Encoded) -> Vec<Vec<Pixel>> {
-        match self.try_decode_group(enc) {
-            Ok(cols) => cols,
-            Err(e) => panic!("corrupt {} group: {e}", self.kind().name()),
-        }
-    }
+    ) -> Result<(), String>;
 
     /// Flip one deterministic bit of the encoded form (fault injection;
     /// see [`crate::faults`]). The default is a no-op for codecs without
@@ -333,12 +306,15 @@ impl LineCodec for RawCodec {
         LineCodecKind::Raw
     }
 
-    fn encode_group(&mut self, cols: &[Vec<Coeff>]) -> EncodedGroup<Self::Encoded> {
+    fn encode_group_reuse(
+        &mut self,
+        cols: &[Vec<Coeff>],
+        recycled: Option<Self::Encoded>,
+    ) -> EncodedGroup<Self::Encoded> {
         debug_assert_eq!(cols.len(), 1);
-        let data: Vec<Pixel> = cols[0][1..]
-            .iter()
-            .map(|&c| c.clamp(0, 255) as Pixel)
-            .collect();
+        let mut data = recycled.unwrap_or_default();
+        data.clear();
+        data.extend(cols[0][1..].iter().map(|&c| c.clamp(0, 255) as Pixel));
         let bits = (self.window as u64 - 1) * self.pixel_bits as u64;
         EncodedGroup {
             data,
@@ -347,7 +323,11 @@ impl LineCodec for RawCodec {
         }
     }
 
-    fn try_decode_group(&mut self, enc: &Self::Encoded) -> Result<Vec<Vec<Pixel>>, String> {
+    fn try_decode_group_into(
+        &mut self,
+        enc: &Self::Encoded,
+        out: &mut Vec<Vec<Pixel>>,
+    ) -> Result<(), String> {
         if enc.len() != self.window - 1 {
             return Err(format!(
                 "raw record holds {} rows, window needs {}",
@@ -357,9 +337,11 @@ impl LineCodec for RawCodec {
         }
         // Row 0 retired on eviction; the datapath only reads rows 1..N of
         // a delivered column, so slot 0 is a don't-care.
-        let mut col = vec![0; self.window];
-        col[1..].copy_from_slice(enc);
-        Ok(vec![col])
+        out.resize_with(1, Vec::new);
+        out[0].clear();
+        out[0].push(0);
+        out[0].extend_from_slice(enc);
+        Ok(())
     }
 
     fn corrupt(&self, enc: &mut Self::Encoded, _site: FaultSite, bit: u64) {
@@ -507,10 +489,6 @@ impl LineCodec for HaarIwtCodec {
         LineCodecKind::Haar
     }
 
-    fn encode_group(&mut self, cols: &[Vec<Coeff>]) -> EncodedGroup<Self::Encoded> {
-        self.encode_group_reuse(cols, None)
-    }
-
     fn encode_group_reuse(
         &mut self,
         cols: &[Vec<Coeff>],
@@ -546,12 +524,6 @@ impl LineCodec for HaarIwtCodec {
             per_band_bits: per_band,
             data: encoded,
         }
-    }
-
-    fn try_decode_group(&mut self, enc: &Self::Encoded) -> Result<Vec<Vec<Pixel>>, String> {
-        let mut out = Vec::new();
-        self.try_decode_group_into(enc, &mut out)?;
-        Ok(out)
     }
 
     fn try_decode_group_into(
@@ -869,10 +841,6 @@ impl LineCodec for HaarTwoLevelCodec {
         }
     }
 
-    fn encode_group(&mut self, cols: &[Vec<Coeff>]) -> EncodedGroup<Self::Encoded> {
-        self.encode_group_reuse(cols, None)
-    }
-
     fn try_decode_group_into(
         &mut self,
         enc: &Self::Encoded,
@@ -925,12 +893,6 @@ impl LineCodec for HaarTwoLevelCodec {
             out[o + 1].extend(b.iter().map(clamp));
         }
         Ok(())
-    }
-
-    fn try_decode_group(&mut self, enc: &Self::Encoded) -> Result<Vec<Vec<Pixel>>, String> {
-        let mut out = Vec::new();
-        self.try_decode_group_into(enc, &mut out)?;
-        Ok(out)
     }
 
     fn corrupt(&self, enc: &mut Self::Encoded, site: FaultSite, bit: u64) {
@@ -1054,10 +1016,6 @@ impl LineCodec for LeGall53Codec {
         LineCodecKind::Legall
     }
 
-    fn encode_group(&mut self, cols: &[Vec<Coeff>]) -> EncodedGroup<Self::Encoded> {
-        self.encode_group_reuse(cols, None)
-    }
-
     fn encode_group_reuse(
         &mut self,
         cols: &[Vec<Coeff>],
@@ -1074,12 +1032,6 @@ impl LineCodec for LeGall53Codec {
         encode_column_sliced_into(&self.low, t_low, &mut encoded[0]);
         encode_column_sliced_into(&self.high, t_high, &mut encoded[1]);
         self.finish_group(encoded)
-    }
-
-    fn try_decode_group(&mut self, enc: &Self::Encoded) -> Result<Vec<Vec<Pixel>>, String> {
-        let mut out = Vec::new();
-        self.try_decode_group_into(enc, &mut out)?;
-        Ok(out)
     }
 
     fn try_decode_group_into(
@@ -1139,7 +1091,11 @@ impl LineCodec for LocoIPredictiveCodec {
         LineCodecKind::Locoi
     }
 
-    fn encode_group(&mut self, cols: &[Vec<Coeff>]) -> EncodedGroup<Self::Encoded> {
+    fn encode_group_reuse(
+        &mut self,
+        cols: &[Vec<Coeff>],
+        _recycled: Option<Self::Encoded>,
+    ) -> EncodedGroup<Self::Encoded> {
         debug_assert_eq!(cols.len(), 1);
         let col = &cols[0];
         let img = ImageU8::from_fn(1, self.window, |_, y| col[y].clamp(0, 255) as Pixel);
@@ -1152,9 +1108,16 @@ impl LineCodec for LocoIPredictiveCodec {
         }
     }
 
-    fn try_decode_group(&mut self, enc: &Self::Encoded) -> Result<Vec<Vec<Pixel>>, String> {
+    fn try_decode_group_into(
+        &mut self,
+        enc: &Self::Encoded,
+        out: &mut Vec<Vec<Pixel>>,
+    ) -> Result<(), String> {
         let img = locoi_try_decode(enc, 1, self.window)?;
-        Ok(vec![(0..self.window).map(|y| img.get(0, y)).collect()])
+        out.resize_with(1, Vec::new);
+        out[0].clear();
+        out[0].extend_from_slice(img.pixels());
+        Ok(())
     }
 
     fn corrupt(&self, enc: &mut Self::Encoded, _site: FaultSite, bit: u64) {
@@ -1182,6 +1145,19 @@ mod tests {
             .collect()
     }
 
+    /// Encode one group and decode it straight back.
+    fn roundtrip<C: LineCodec<Sample = Coeff>>(
+        codec: &mut C,
+        cols: &[Vec<Coeff>],
+    ) -> (EncodedGroup<C::Encoded>, Vec<Vec<Pixel>>) {
+        let eg = codec.encode_group_reuse(cols, None);
+        let mut back = Vec::new();
+        codec
+            .try_decode_group_into(&eg.data, &mut back)
+            .expect("an uncorrupted group decodes");
+        (eg, back)
+    }
+
     #[test]
     fn kind_parse_roundtrips() {
         for kind in LineCodecKind::ALL {
@@ -1204,9 +1180,8 @@ mod tests {
         let c = cfg(8, 64);
         let mut codec = RawCodec::new(&c);
         let col = column(8, 0);
-        let eg = codec.encode_group(std::slice::from_ref(&col));
+        let (eg, back) = roundtrip(&mut codec, std::slice::from_ref(&col));
         assert_eq!(eg.payload_bits, 7 * 8);
-        let back = codec.decode_group(&eg.data);
         assert_eq!(back.len(), 1);
         // Rows 1..N round-trip; row 0 is a don't-care (it retired).
         for i in 1..8 {
@@ -1218,21 +1193,20 @@ mod tests {
     fn lossless_roundtrip_every_codec() {
         let c = cfg(8, 64);
         let cols: Vec<Vec<Coeff>> = (0..4).map(|i| column(8, i)).collect();
-        fn roundtrip<C: LineCodec<Sample = Coeff>>(c: &ArchConfig, cols: &[Vec<Coeff>]) {
+        fn lossless<C: LineCodec<Sample = Coeff>>(c: &ArchConfig, cols: &[Vec<Coeff>]) {
             let mut codec = C::new(c);
             let g = codec.group_width();
-            let eg = codec.encode_group(&cols[..g]);
-            let back = codec.decode_group(&eg.data);
+            let (_, back) = roundtrip(&mut codec, &cols[..g]);
             assert_eq!(back.len(), g);
             for (orig, got) in cols[..g].iter().zip(&back) {
                 let as_pixels: Vec<Pixel> = orig.iter().map(|&v| v as Pixel).collect();
                 assert_eq!(&as_pixels, got, "{:?}", codec.kind());
             }
         }
-        roundtrip::<HaarIwtCodec>(&c, &cols);
-        roundtrip::<HaarTwoLevelCodec>(&c, &cols);
-        roundtrip::<LeGall53Codec>(&c, &cols);
-        roundtrip::<LocoIPredictiveCodec>(&c, &cols);
+        lossless::<HaarIwtCodec>(&c, &cols);
+        lossless::<HaarTwoLevelCodec>(&c, &cols);
+        lossless::<LeGall53Codec>(&c, &cols);
+        lossless::<LocoIPredictiveCodec>(&c, &cols);
     }
 
     #[test]
@@ -1248,7 +1222,7 @@ mod tests {
         fn bits<C: LineCodec<Sample = Coeff>>(c: &ArchConfig, cols: &[Vec<Coeff>]) -> u64 {
             let mut codec = C::new(c);
             let g = codec.group_width();
-            codec.encode_group(&cols[..g]).payload_bits
+            codec.encode_group_reuse(&cols[..g], None).payload_bits
         }
         let lossy = base.with_threshold(6);
         assert!(bits::<HaarIwtCodec>(&lossy, &cols) < bits::<HaarIwtCodec>(&base, &cols));

@@ -25,16 +25,19 @@
 //! fault from [`crate::faults`] — is *detected* as a typed error rather
 //! than silently reconstructed.
 
+use crate::analysis::measure_frame;
 use crate::codec::LineCodecKind;
-use crate::error::SwError;
+use crate::config::ArchConfig;
+use crate::error::{Result, SwError};
 use crate::faults::splitmix64;
-use crate::planner::BramPlan;
+use crate::planner::{plan, BramPlan, MgmtAccounting};
 use crate::Coeff;
 use std::collections::VecDeque;
 use sw_fpga::bram::{Bram18Config, BRAM18_BITS};
 use sw_fpga::bram_fifo::BramFifo;
 use sw_fpga::fifo::FifoError;
 use sw_fpga::sim::Watermark;
+use sw_image::ImageU8;
 use sw_telemetry::{Counter, Gauge, TelemetryHandle};
 
 /// Memory-unit word width: the 512×36 BRAM18 aspect ratio the packed
@@ -108,8 +111,28 @@ impl MemoryUnitConfig {
 
     /// Size the budget from a planner allocation: the packed-bit BRAMs'
     /// full capacity, exactly what the paper provisions.
-    pub fn from_plan(plan: &BramPlan, policy: OverflowPolicy) -> Self {
+    fn from_plan(plan: &BramPlan, policy: OverflowPolicy) -> Self {
         Self::new(u64::from(plan.packed_brams) * BRAM18_BITS, policy)
+    }
+
+    /// Provision the budget the way the paper does (Tables II–V): run
+    /// `cfg`'s datapath losslessly over `img`, plan the structured BRAM
+    /// allocation for the measured peak occupancy, and take the packed
+    /// BRAMs' full capacity.
+    ///
+    /// # Errors
+    ///
+    /// The probe's [`SwError`]: an invalid geometry fails here exactly as
+    /// the real run would.
+    pub fn provision(img: &ImageU8, cfg: &ArchConfig, policy: OverflowPolicy) -> Result<Self> {
+        let stats = measure_frame(img, &cfg.with_threshold(0))?;
+        let p = plan(
+            cfg.window,
+            cfg.width,
+            stats.peak_payload_occupancy,
+            MgmtAccounting::Structured,
+        );
+        Ok(Self::from_plan(&p, policy))
     }
 
     /// Override the degrade-escalation ceiling.
@@ -312,7 +335,7 @@ impl MemoryUnit {
     /// Retire the oldest group: pop its words back out of the BRAMs and
     /// verify every fingerprint. A mismatch (corrupted storage) or a
     /// missing word surfaces as a typed error.
-    pub(crate) fn retire_group(&mut self) -> crate::error::Result<()> {
+    pub(crate) fn retire_group(&mut self) -> Result<()> {
         let Some(g) = self.in_flight.pop_front() else {
             return Err(SwError::Fifo(FifoError::Underrun));
         };

@@ -9,15 +9,16 @@
 //! under traditional vs compressed buffering.
 
 use crate::analysis::analyze_frame;
-use crate::arch::build_arch;
 use crate::codec::LineCodecKind;
 use crate::config::ArchConfig;
 use crate::error::{Result, SwError};
 use crate::faults::FaultInjector;
 use crate::kernels::WindowKernel;
 use crate::memory_unit::MemoryUnitConfig;
-use crate::planner::{plan, traditional_brams, BramPlan, MgmtAccounting};
+use crate::planner::{plan, BramPlan, MgmtAccounting};
+use crate::shard::ShardedFrameRunner;
 use sw_image::ImageU8;
+use sw_pool::ThreadPool;
 use sw_telemetry::TelemetryHandle;
 
 /// One pipeline stage: a kernel plus how its line buffers are realized —
@@ -112,11 +113,11 @@ impl Pipeline {
     }
 
     /// Record per-stage telemetry into `telemetry`: stage `i` reports under
-    /// `stage.stage<i>.*` / `fifo.stage<i>.*`, and each stage's wall-clock
-    /// time under `pipeline.stage<i>.{ns_total,calls}`. The hierarchical
-    /// profiler additionally sees `pipeline` → `pipeline/stage<i>` →
-    /// `pipeline/stage<i>/frame` → `…/frame/{encode,decode}` span paths
-    /// (rendered by `TelemetryHandle::flame_table`).
+    /// `stage.stage<i>.*` / `fifo.stage<i>.*` (sharded runs: under
+    /// `shard.stage<i>.*`). The hierarchical profiler times each stage as
+    /// `pipeline` → `pipeline/stage<i>` → `pipeline/stage<i>/frame` →
+    /// `…/frame/{encode,decode}` span paths (rendered by
+    /// `TelemetryHandle::flame_table`).
     pub fn with_telemetry(mut self, telemetry: &TelemetryHandle) -> Self {
         self.telemetry = telemetry.clone();
         self
@@ -133,61 +134,16 @@ impl Pipeline {
     }
 
     /// Run one frame through every stage, shrinking the valid region at
-    /// each step, and report per-stage BRAM costs.
+    /// each step, and report per-stage BRAM costs. Each stage runs its
+    /// whole frame on the calling thread.
     ///
     /// # Errors
     ///
     /// [`SwError::Config`] if an intermediate image becomes smaller than
     /// the next stage's window; any memory-unit or fault-injection error
     /// a stage's datapath surfaces.
-    pub fn run(&mut self, input: &ImageU8) -> Result<PipelineOutput> {
-        let mut img = input.clone();
-        let mut stage_brams = Vec::with_capacity(self.stages.len());
-        let mut cycles = 0u64;
-        let _pipeline_span = self.telemetry.profile_span("pipeline");
-        for (i, stage) in self.stages.iter_mut().enumerate() {
-            let n = stage.kernel.window_size();
-            if img.width() <= n || img.height() < n {
-                return Err(SwError::config(format!(
-                    "stage {i}: intermediate image {}x{} too small for a {n}-pixel window",
-                    img.width(),
-                    img.height()
-                )));
-            }
-            let stage_name = format!("stage{i}");
-            let _span = self.telemetry.span(&format!("pipeline.{stage_name}"));
-            let _stage_span = self.telemetry.profile_span(&stage_name);
-            let cfg = ArchConfig::new(n, img.width())
-                .with_codec(stage.codec)
-                .with_threshold(stage.threshold);
-            let mut arch = build_arch(&cfg)?;
-            arch.bind_telemetry(&self.telemetry, &stage_name);
-            if self.memory_unit.is_some() {
-                arch.set_memory_unit(self.memory_unit);
-            }
-            if self.faults.is_some() {
-                arch.set_fault_injector(self.faults.clone());
-            }
-            let out = arch.process_frame(&img, stage.kernel.as_ref())?;
-            if stage.codec == LineCodecKind::Raw {
-                stage_brams.push(traditional_brams(n, img.width()));
-            } else {
-                let p: BramPlan = plan(
-                    n,
-                    img.width(),
-                    out.stats.peak_payload_occupancy,
-                    MgmtAccounting::Structured,
-                );
-                stage_brams.push(p.total_brams());
-            }
-            cycles += out.stats.cycles;
-            img = out.image;
-        }
-        Ok(PipelineOutput {
-            image: img,
-            stage_brams,
-            cycles,
-        })
+    pub fn run(&self, input: &ImageU8) -> Result<PipelineOutput> {
+        self.run_sharded(input, &ThreadPool::new(1), 1)
     }
 
     /// [`Pipeline::run`] with every stage executed strip-parallel on
@@ -206,7 +162,7 @@ impl Pipeline {
     pub fn run_sharded(
         &self,
         input: &ImageU8,
-        pool: &sw_pool::ThreadPool,
+        pool: &ThreadPool,
         strips: usize,
     ) -> Result<PipelineOutput> {
         let mut img = input.clone();
@@ -223,12 +179,11 @@ impl Pipeline {
                 )));
             }
             let stage_name = format!("stage{i}");
-            let _span = self.telemetry.span(&format!("pipeline.{stage_name}"));
             let _stage_span = self.telemetry.profile_span(&stage_name);
             let cfg = ArchConfig::new(n, img.width())
                 .with_codec(stage.codec)
                 .with_threshold(stage.threshold);
-            let mut runner = crate::shard::ShardedFrameRunner::new(cfg)
+            let mut runner = ShardedFrameRunner::new(cfg)
                 .with_strips(strips)
                 .with_named_telemetry(&self.telemetry, &stage_name);
             if let Some(mu) = self.memory_unit {
@@ -293,7 +248,7 @@ mod tests {
 
     #[test]
     fn two_stage_pipeline_shrinks_valid_region() {
-        let mut p = Pipeline::new(vec![
+        let p = Pipeline::new(vec![
             Stage::compressed(Box::new(GaussianFilter::new(8)), 0),
             Stage::compressed(Box::new(SobelMagnitude::new(4)), 0),
         ]);
@@ -309,11 +264,11 @@ mod tests {
     #[test]
     fn compressed_stages_use_fewer_brams_than_traditional() {
         let img = scene(512, 64);
-        let mut trad = Pipeline::new(vec![
+        let trad = Pipeline::new(vec![
             Stage::traditional(Box::new(GaussianFilter::new(16))),
             Stage::traditional(Box::new(BoxFilter::new(8))),
         ]);
-        let mut comp = Pipeline::new(vec![
+        let comp = Pipeline::new(vec![
             Stage::compressed(Box::new(GaussianFilter::new(16)), 0),
             Stage::compressed(Box::new(BoxFilter::new(8)), 0),
         ]);
@@ -325,11 +280,11 @@ mod tests {
     #[test]
     fn lossless_compressed_pipeline_matches_traditional_output() {
         let img = scene(96, 48);
-        let mut a = Pipeline::new(vec![
+        let a = Pipeline::new(vec![
             Stage::traditional(Box::new(GaussianFilter::new(8))),
             Stage::traditional(Box::new(SobelMagnitude::new(4))),
         ]);
-        let mut b = Pipeline::new(vec![
+        let b = Pipeline::new(vec![
             Stage::compressed(Box::new(GaussianFilter::new(8)), 0),
             Stage::compressed(Box::new(SobelMagnitude::new(4)), 0),
         ]);
@@ -356,7 +311,7 @@ mod tests {
     #[test]
     fn telemetry_covers_every_stage() {
         let t = sw_telemetry::TelemetryHandle::new();
-        let mut p = Pipeline::new(vec![
+        let p = Pipeline::new(vec![
             Stage::traditional(Box::new(GaussianFilter::new(8))),
             Stage::compressed(Box::new(SobelMagnitude::new(4)), 2),
         ])
@@ -372,15 +327,16 @@ mod tests {
         // reports line-buffer occupancy.
         assert!(r.counters["stage.stage1.packer.columns"] > 0);
         assert!(r.gauges["fifo.stage0.high_water_bits"] > 0);
-        // Wall-clock spans fired once per stage.
-        assert_eq!(r.counters["pipeline.stage0.calls"], 1);
-        assert_eq!(r.counters["pipeline.stage1.calls"], 1);
+        // The profiler timed each stage once.
+        let snap = t.profile_snapshot();
+        assert_eq!(snap.paths["pipeline/stage0"].calls, 1);
+        assert_eq!(snap.paths["pipeline/stage1"].calls, 1);
     }
 
     #[test]
     fn hierarchical_profile_decomposes_stages_into_datapath_spans() {
         let t = sw_telemetry::TelemetryHandle::new();
-        let mut p = Pipeline::new(vec![
+        let p = Pipeline::new(vec![
             Stage::compressed(Box::new(GaussianFilter::new(8)), 0),
             Stage::compressed(Box::new(SobelMagnitude::new(4)), 0),
         ])

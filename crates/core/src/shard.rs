@@ -37,8 +37,16 @@
 //! The same reasoning applies to BRAM sizing: each strip observes its own
 //! peak memory-unit occupancy and the runner aggregates the maximum, in
 //! strip order, independent of scheduling.
+//!
+//! # One runner for every entry point
+//!
+//! [`ShardedFrameRunner`] is the only product code that runs a window
+//! frame: the CLI, the daemon's executor and [`crate::pipeline`] all call
+//! it. A frame that plans to one strip is the unsharded run: it executes
+//! whole on the calling thread, with no pool dispatch and no copy, and
+//! reports the full [`FrameStats`] in [`ShardedOutput::frame_stats`].
 
-use crate::arch::build_arch;
+use crate::arch::{build_arch, FrameOutput, FrameStats, SlidingWindowArch};
 use crate::codec::LineCodecKind;
 use crate::config::ArchConfig;
 use crate::error::{Result, SwError};
@@ -172,13 +180,67 @@ pub struct ShardedOutput {
     pub t_escalations: u64,
     /// Overflow events recorded across strips, summed in strip order.
     pub overflow_events: usize,
+    /// The full [`FrameStats`] of a frame that ran as one strip. `None`
+    /// for K strips: per-strip stats do not aggregate into one frame's.
+    pub frame_stats: Option<FrameStats>,
 }
 
-/// Runs frames strip-parallel over a [`ThreadPool`].
+impl ShardedOutput {
+    /// The one-strip output of a frame `cfg`'s architecture ran whole:
+    /// the same aggregates a K-strip run reports, plus the full
+    /// [`FrameStats`].
+    pub fn from_frame(cfg: &ArchConfig, out: FrameOutput) -> Self {
+        let stats = out.stats;
+        let peak = strip_peak(cfg, &stats);
+        let height = out.image.height() + cfg.window - 1;
+        let (brams, bram_plan) = brams_for_peak(cfg, peak);
+        Self {
+            image: out.image,
+            strip_stats: vec![StripStats {
+                span: ShardPlan::new(cfg.window, height, 1).spans[0],
+                cycles: stats.cycles,
+                peak_payload_occupancy: peak,
+            }],
+            cycles: stats.cycles,
+            peak_payload_occupancy: peak,
+            brams,
+            bram_plan,
+            stall_cycles: stats.stall_cycles,
+            t_escalations: stats.t_escalations,
+            overflow_events: stats.overflow_events,
+            frame_stats: Some(stats),
+        }
+    }
+}
+
+/// A strip's peak payload occupancy as the runner aggregates it. Raw
+/// buffering reports 0, as the traditional strip datapath always did: its
+/// occupancy is the static span, not a measurement worth aggregating.
+fn strip_peak(cfg: &ArchConfig, stats: &FrameStats) -> u64 {
+    if cfg.codec == LineCodecKind::Raw {
+        0
+    } else {
+        stats.peak_payload_occupancy
+    }
+}
+
+/// BRAMs one strip datapath needs: the compressed plan sized from `peak`,
+/// or Table I for traditional buffering.
+fn brams_for_peak(cfg: &ArchConfig, peak: u64) -> (u32, Option<BramPlan>) {
+    if cfg.codec == LineCodecKind::Raw {
+        (traditional_brams(cfg.window, cfg.width), None)
+    } else {
+        let p = plan(cfg.window, cfg.width, peak, MgmtAccounting::Structured);
+        (p.total_brams(), Some(p))
+    }
+}
+
+/// Runs a window frame: the one place that decides how a frame executes.
 ///
-/// The runner itself is immutable (`run` takes `&self`): every strip
-/// builds a private architecture instance, so one runner can be shared
-/// across threads and frames.
+/// A frame that plans to one strip runs whole on the calling thread; K
+/// strips run strip-parallel over a [`ThreadPool`]. The runner itself is
+/// immutable (`run` takes `&self`): every run builds private architecture
+/// instances, so one runner can be shared across threads and frames.
 #[derive(Debug, Clone)]
 pub struct ShardedFrameRunner {
     cfg: ArchConfig,
@@ -234,19 +296,22 @@ impl ShardedFrameRunner {
         self.with_named_telemetry(telemetry, "frame")
     }
 
-    /// Bind telemetry under `shard.<name>.*`: per-strip wall-clock spans
-    /// (`shard.<name>.strip<i>.{ns_total,calls}`), per-strip cycle
-    /// counters, the strip count, and the pool's scheduling gauges
-    /// (`pool.{workers,steals,items,queue_depth_high_water}`).
+    /// Bind telemetry under `name`. A one-strip frame binds its
+    /// architecture's instruments (`stage.<name>.*`, `fifo.<name>.*`, and
+    /// the `frame` profiling span) exactly as a direct
+    /// [`SlidingWindowArch::bind_telemetry`] call would.
     ///
-    /// The hierarchical profiler additionally records a `shard.<name>`
-    /// span nesting one `strip<i>` entry per strip. Strip durations are
-    /// measured on the worker threads but recorded by the calling thread
-    /// after the join, so the span paths are deterministic regardless of
-    /// how the pool schedules the strips. Because strips run
-    /// concurrently, the recorded strip time is *work* time and may
-    /// exceed the parent span's wall-clock time; the parent's self time
-    /// saturates at zero in that case.
+    /// K strips record under `shard.<name>.*`: per-strip cycle counters,
+    /// the strip count, and the pool's scheduling gauges
+    /// (`pool.{workers,steals,items,queue_depth_high_water}`). The
+    /// hierarchical profiler records a `shard.<name>` span nesting one
+    /// `strip<i>` entry per strip. Strip durations are measured on the
+    /// worker threads but recorded by the calling thread after the join,
+    /// so the span paths are deterministic regardless of how the pool
+    /// schedules the strips. Because strips run concurrently, the
+    /// recorded strip time is *work* time and may exceed the parent
+    /// span's wall-clock time; the parent's self time saturates at zero
+    /// in that case.
     pub fn with_named_telemetry(mut self, telemetry: &TelemetryHandle, name: &str) -> Self {
         self.telemetry = telemetry.clone();
         self.name = name.to_string();
@@ -258,7 +323,9 @@ impl ShardedFrameRunner {
         self.strips
     }
 
-    /// Process one frame strip-parallel on `pool` and stitch the result.
+    /// Process one frame. One strip runs inline on the calling thread
+    /// (`pool` is not touched, the frame is not copied); K strips run
+    /// strip-parallel on `pool` and are stitched in strip order.
     ///
     /// # Errors
     ///
@@ -294,32 +361,25 @@ impl ShardedFrameRunner {
         }
 
         let shard_plan = ShardPlan::new(n, img.height(), self.strips);
+        if shard_plan.len() == 1 {
+            let mut arch = build_arch(&self.cfg)?;
+            arch.bind_telemetry(&self.telemetry, &self.name);
+            self.install(arch.as_mut(), self.memory_unit);
+            let out = arch.process_frame(img, kernel)?;
+            return Ok(ShardedOutput::from_frame(&self.cfg, out));
+        }
+
         let spans = &shard_plan.spans;
         let mu_per_strip = self.memory_unit.map(|mu| mu.per_strip(spans.len()));
         let shard_span = self.telemetry.profile_span(&format!("shard.{}", self.name));
         let results = pool.par_map_indexed(spans.len(), |i| {
             let span = spans[i];
             let t0 = self.telemetry.is_enabled().then(std::time::Instant::now);
-            let _timer = self
-                .telemetry
-                .span(&format!("shard.{}.strip{}", self.name, span.index));
             let sub = img.crop(0, span.input_row0, img.width(), span.input_rows);
             let mut arch = build_arch(&self.cfg)?;
-            if mu_per_strip.is_some() {
-                arch.set_memory_unit(mu_per_strip);
-            }
-            if self.faults.is_some() {
-                arch.set_fault_injector(self.faults.clone());
-            }
+            self.install(arch.as_mut(), mu_per_strip);
             let out = arch.process_frame(&sub, kernel)?;
-            // Raw buffering reports peak 0, as the traditional strip
-            // datapath always did: its occupancy is the static span, not a
-            // measurement worth aggregating.
-            let peak = if self.cfg.codec == LineCodecKind::Raw {
-                0
-            } else {
-                out.stats.peak_payload_occupancy
-            };
+            let peak = strip_peak(&self.cfg, &out.stats);
             let strip_ns = t0.map(|t| u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX));
             Ok((out.image, out.stats, peak, strip_ns))
         });
@@ -367,12 +427,7 @@ impl ShardedFrameRunner {
         }
         drop(shard_span);
 
-        let (brams, bram_plan) = if self.cfg.codec == LineCodecKind::Raw {
-            (traditional_brams(n, self.cfg.width), None)
-        } else {
-            let p = plan(n, self.cfg.width, peak, MgmtAccounting::Structured);
-            (p.total_brams(), Some(p))
-        };
+        let (brams, bram_plan) = brams_for_peak(&self.cfg, peak);
 
         let pool_stats = pool.stats();
         self.telemetry
@@ -400,7 +455,19 @@ impl ShardedFrameRunner {
             stall_cycles,
             t_escalations,
             overflow_events,
+            frame_stats: None,
         })
+    }
+
+    /// Install the memory unit `mu` (this strip's share of the budget)
+    /// and the fault injector on a fresh architecture.
+    fn install(&self, arch: &mut dyn SlidingWindowArch, mu: Option<MemoryUnitConfig>) {
+        if mu.is_some() {
+            arch.set_memory_unit(mu);
+        }
+        if self.faults.is_some() {
+            arch.set_fault_injector(self.faults.clone());
+        }
     }
 }
 
@@ -408,6 +475,7 @@ impl ShardedFrameRunner {
 mod tests {
     use super::*;
     use crate::kernels::{BoxFilter, Tap};
+    use crate::memory_unit::OverflowPolicy;
     use crate::reference::direct_sliding_window;
 
     fn test_image(w: usize, h: usize) -> ImageU8 {
@@ -484,7 +552,78 @@ mod tests {
             .map(|i| r.counters[&format!("shard.f0.strip{i}.cycles")])
             .sum();
         assert_eq!(strip_sum, out.cycles);
-        assert_eq!(r.counters["shard.f0.strip0.calls"], 1);
+        assert!(out.frame_stats.is_none(), "K strips report no frame stats");
+    }
+
+    #[test]
+    fn one_strip_is_the_unsharded_run() {
+        let img = test_image(40, 20);
+        let pool = ThreadPool::new(2);
+        let kernel = BoxFilter::new(4);
+        let budgets = [
+            None,
+            Some(MemoryUnitConfig::new(300, OverflowPolicy::Stall)),
+            Some(MemoryUnitConfig::new(300, OverflowPolicy::DegradeLossy)),
+            Some(MemoryUnitConfig::new(300, OverflowPolicy::Fail)),
+        ];
+        for codec in LineCodecKind::ALL {
+            for threshold in [0, 3] {
+                let cfg = ArchConfig::builder(4, 40)
+                    .codec(codec)
+                    .threshold(threshold)
+                    .build()
+                    .unwrap();
+                for mu in budgets {
+                    for faults in [None, Some(FaultInjector::seeded(7))] {
+                        let mut arch = build_arch(&cfg).unwrap();
+                        arch.set_memory_unit(mu);
+                        arch.set_fault_injector(faults.clone());
+                        let want = arch.process_frame(&img, &kernel);
+
+                        let mut runner = ShardedFrameRunner::new(cfg).with_strips(1);
+                        if let Some(mu) = mu {
+                            runner = runner.with_memory_unit(mu);
+                        }
+                        if let Some(f) = faults.clone() {
+                            runner = runner.with_fault_injector(f);
+                        }
+                        let got = runner.run(&img, &kernel, &pool);
+                        let case = format!("{} T{threshold} {mu:?} {faults:?}", codec.name());
+                        match (want, got) {
+                            (Ok(want), Ok(got)) => {
+                                assert_eq!(got.image, want.image, "{case}");
+                                assert_eq!(got.frame_stats, Some(want.stats), "{case}");
+                                assert_eq!(got.cycles, want.stats.cycles, "{case}");
+                                assert_eq!(got.stall_cycles, want.stats.stall_cycles, "{case}");
+                                assert_eq!(got.t_escalations, want.stats.t_escalations, "{case}");
+                            }
+                            (Err(want), Err(got)) => {
+                                assert_eq!(got.to_string(), want.to_string(), "{case}")
+                            }
+                            (want, got) => panic!("{case}: {want:?} vs {got:?}"),
+                        }
+                    }
+                }
+            }
+        }
+        // The inline run never touches the pool.
+        assert_eq!(pool.stats().batches, 0);
+    }
+
+    #[test]
+    fn one_strip_binds_the_architecture_telemetry() {
+        let t = TelemetryHandle::new();
+        let img = test_image(24, 16);
+        let pool = ThreadPool::new(2);
+        let out = ShardedFrameRunner::new(ArchConfig::builder(4, 24).build().unwrap())
+            .with_strips(1)
+            .with_named_telemetry(&t, "f0")
+            .run(&img, &Tap::top_left(4), &pool)
+            .unwrap();
+        let r = t.report();
+        assert_eq!(r.counters["stage.f0.cycles"], out.cycles);
+        assert!(!r.gauges.contains_key("shard.f0.strips"));
+        assert_eq!(t.profile_snapshot().paths["frame"].calls, 1);
     }
 
     #[test]

@@ -328,8 +328,7 @@ fn pipeline_run_sharded_is_jobs_invariant_and_lossless_exact() {
         ])
     };
     // Lossless sharded pipeline equals the unsharded pipeline exactly.
-    let mut seq = stages();
-    let expect = seq.run(&img).unwrap();
+    let expect = stages().run(&img).unwrap();
     let pool1 = ThreadPool::new(1);
     let reference = stages().run_sharded(&img, &pool1, 4).unwrap();
     assert_eq!(reference.image, expect.image, "lossless pipeline output");

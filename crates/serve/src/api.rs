@@ -20,7 +20,7 @@ use sw_core::integral::Workload;
 use sw_core::kernels::{
     BoxFilter, GaussianFilter, MedianFilter, SobelMagnitude, Tap, WindowKernel,
 };
-use sw_core::memory_unit::OverflowPolicy;
+use sw_core::memory_unit::{MemoryUnitConfig, OverflowPolicy};
 use sw_core::Coeff;
 use sw_image::ImageU8;
 
@@ -106,9 +106,9 @@ impl JobKernel {
 
 /// Everything that parameterizes one job run, frame excluded.
 ///
-/// `jobs = 0` means "executor decides" (the daemon's shared pool size,
-/// the CLI's sequential path); any other value requests that strip
-/// parallelism explicitly.
+/// `jobs` picks the strip decomposition, never a thread count: 0 and 1
+/// run the frame as one strip, any value ≥ 2 runs
+/// [`sw_core::shard::DEFAULT_STRIPS`] strips on the executor's pool.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobSpec {
     /// Which engine runs the frame.
@@ -127,7 +127,8 @@ pub struct JobSpec {
     pub hot_path: HotPath,
     /// The served kernel (window workload only).
     pub kernel: JobKernel,
-    /// Requested strip parallelism; 0 = executor default.
+    /// Strip parallelism: 0 or 1 = one strip, ≥ 2 =
+    /// [`sw_core::shard::DEFAULT_STRIPS`] strips (no other value is read).
     pub jobs: usize,
     /// Run the datapath through a capacity-enforced memory unit.
     pub overflow_policy: Option<OverflowPolicy>,
@@ -159,13 +160,43 @@ impl JobSpec {
     ///
     /// # Errors
     ///
-    /// [`SwError::Config`] exactly as [`ArchConfig::validate`] reports it.
+    /// [`SwError::Config`] when the frame is too narrow for the window
+    /// (`width <= window + 1`), otherwise exactly as
+    /// [`ArchConfig::validate`] reports it.
     pub fn arch_config(&self, width: usize) -> Result<ArchConfig, SwError> {
+        if width <= self.window + 1 {
+            return Err(SwError::config(format!(
+                "image width {width} too small for window {}",
+                self.window
+            )));
+        }
         ArchConfig::builder(self.window, width)
             .threshold(self.threshold)
             .policy(self.policy)
             .codec(self.codec)
             .build()
+    }
+
+    /// The memory unit this spec runs `img` through: the budget
+    /// [`MemoryUnitConfig::provision`] measures for `cfg`, scaled by
+    /// `budget_fraction`; `None` without an overflow policy.
+    ///
+    /// # Errors
+    ///
+    /// The provisioning probe's [`SwError`].
+    pub fn memory_unit(
+        &self,
+        img: &ImageU8,
+        cfg: &ArchConfig,
+    ) -> Result<Option<MemoryUnitConfig>, SwError> {
+        let Some(policy) = self.overflow_policy else {
+            return Ok(None);
+        };
+        let mut mu = MemoryUnitConfig::provision(img, cfg, policy)?;
+        if self.budget_fraction != 1.0 {
+            mu.capacity_bits = ((mu.capacity_bits as f64 * self.budget_fraction) as u64).max(1);
+        }
+        Ok(Some(mu))
     }
 
     fn encode_into(&self, w: &mut ByteWriter) {

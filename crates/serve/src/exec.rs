@@ -5,67 +5,36 @@
 //! the served-vs-local conformance tests call it directly, and the load
 //! generator's `--verify` pass calls it to reproduce daemon digests
 //! locally — so a digest mismatch always means a wire or daemon bug, never
-//! two divergent execution paths.
+//! two divergent execution paths. Every window frame runs through one
+//! [`ShardedFrameRunner`] call, and every window response — whole-frame or
+//! streamed — is built by one function.
 
 use std::time::Instant;
 
-use crate::api::{FramePayload, JobError, JobRequest, JobResponse, StreamOpen};
-use sw_core::analysis::measure_frame;
+use crate::api::{FramePayload, JobError, JobRequest, JobResponse, JobSpec, StreamOpen};
 use sw_core::arch::{build_arch, SlidingWindowArch};
+use sw_core::config::ArchConfig;
 use sw_core::digest::{image_digest, stats_digest};
 use sw_core::integral::{analyze_integral, IntegralConfig, Workload};
 use sw_core::kernels::WindowKernel;
-use sw_core::memory_unit::MemoryUnitConfig;
-use sw_core::planner::{plan, MgmtAccounting};
-use sw_core::shard::{ShardedFrameRunner, DEFAULT_STRIPS};
+use sw_core::shard::{ShardedFrameRunner, ShardedOutput, DEFAULT_STRIPS};
 use sw_image::{mse, ImageU8};
 use sw_pool::ThreadPool;
 use sw_telemetry::TelemetryHandle;
-
-/// Provision the job's memory unit exactly the way `swc analyze` does:
-/// the planner's structured BRAM budget for this frame, measured
-/// losslessly on the selected codec's datapath, scaled by the job's
-/// budget fraction.
-pub fn memory_unit_for(
-    img: &ImageU8,
-    req: &JobRequest,
-) -> Result<Option<MemoryUnitConfig>, JobError> {
-    let Some(policy) = req.spec.overflow_policy else {
-        return Ok(None);
-    };
-    let probe = req
-        .spec
-        .arch_config(img.width())
-        .map_err(|e| JobError::from_sw(&e))?
-        .with_threshold(0);
-    let stats = measure_frame(img, &probe).map_err(|e| JobError::from_sw(&e))?;
-    let p = plan(
-        req.spec.window,
-        img.width(),
-        stats.peak_payload_occupancy,
-        MgmtAccounting::Structured,
-    );
-    let mut mu = MemoryUnitConfig::from_plan(&p, policy);
-    if req.spec.budget_fraction != 1.0 {
-        mu.capacity_bits = ((mu.capacity_bits as f64 * req.spec.budget_fraction) as u64).max(1);
-    }
-    Ok(Some(mu))
-}
 
 /// Run one job to completion on `pool`.
 ///
 /// The response's `queue_ns` and `degraded` fields belong to admission
 /// control and are left at their zero values here; the daemon fills them
-/// in after the fact. Window jobs with `spec.jobs <= 1` run the sequential
-/// architecture (and report the full [`sw_core::FrameStats`] digest);
-/// larger values run the strip-parallel [`ShardedFrameRunner`], whose
-/// output image is byte-identical to the sequential path — the image
-/// digest is the conformance contract at every job count.
+/// in after the fact. Window jobs with `spec.jobs <= 1` run as one strip
+/// (and report the full [`sw_core::FrameStats`] digest); larger values run
+/// [`DEFAULT_STRIPS`] strips on `pool`. The image digest is the
+/// conformance contract at every job count.
 ///
 /// # Errors
 ///
 /// [`JobError::Config`] for a spec the datapath rejects (including the
-/// CLI's "image width … too small for window …" precondition) and
+/// "image width … too small for window …" precondition) and
 /// [`JobError::Execution`] for datapath failures (decode corruption,
 /// overflow under the fail policy).
 pub fn execute(
@@ -120,105 +89,80 @@ fn execute_window(
     tele: &TelemetryHandle,
 ) -> Result<JobResponse, JobError> {
     let spec = &req.spec;
-    if img.width() <= spec.window + 1 {
-        return Err(JobError::Config(format!(
-            "image width {} too small for window {}",
-            img.width(),
-            spec.window
-        )));
-    }
     let cfg = spec
         .arch_config(img.width())
         .map_err(|e| JobError::from_sw(&e))?;
-    let mu = memory_unit_for(img, req)?;
+    let mu = spec
+        .memory_unit(img, &cfg)
+        .map_err(|e| JobError::from_sw(&e))?;
     let kernel = spec.kernel.build(spec.window);
 
     let started = Instant::now();
-    let (out_image, stats_dg, stats) = if spec.jobs <= 1 {
-        let mut arch = build_arch(&cfg).map_err(|e| JobError::from_sw(&e))?;
-        arch.bind_telemetry(tele, "serve");
-        if mu.is_some() {
-            arch.set_memory_unit(mu);
-        }
-        let out = arch
-            .process_frame(img, kernel.as_ref())
-            .map_err(|e| JobError::from_sw(&e))?;
-        let dg = stats_digest(&out.stats);
-        (
-            out.image,
-            dg,
-            RunStats {
-                t_escalations: out.stats.t_escalations,
-                stall_cycles: out.stats.stall_cycles,
-                overflow_events: out.stats.overflow_events as u64,
-                peak_payload_occupancy: out.stats.peak_payload_occupancy,
-                management_bits: out.stats.management_bits,
-                memory_saving_pct: out.stats.memory_saving_pct(),
-            },
-        )
-    } else {
-        let mut runner = ShardedFrameRunner::new(cfg)
-            .with_strips(DEFAULT_STRIPS)
-            .with_named_telemetry(tele, "serve");
-        if let Some(mu) = mu {
-            runner = runner.with_memory_unit(mu);
-        }
-        let out = runner
-            .run(img, kernel.as_ref(), pool)
-            .map_err(|e| JobError::from_sw(&e))?;
-        (
-            out.image,
-            // Per-strip stats do not aggregate into one FrameStats; the
-            // image digest is the cross-job-count contract.
-            0,
-            RunStats {
-                t_escalations: out.t_escalations,
-                stall_cycles: out.stall_cycles,
-                overflow_events: out.overflow_events as u64,
-                peak_payload_occupancy: out.peak_payload_occupancy,
-                management_bits: 0,
-                memory_saving_pct: 0.0,
-            },
-        )
-    };
+    let mut runner = ShardedFrameRunner::new(cfg)
+        .with_strips(if spec.jobs <= 1 { 1 } else { DEFAULT_STRIPS })
+        .with_named_telemetry(tele, "serve");
+    if let Some(mu) = mu {
+        runner = runner.with_memory_unit(mu);
+    }
+    let out = runner
+        .run(img, kernel.as_ref(), pool)
+        .map_err(|e| JobError::from_sw(&e))?;
     let exec_ns = started.elapsed().as_nanos() as u64;
+    Ok(window_response(
+        spec,
+        out,
+        Some(img),
+        req.want_frame,
+        exec_ns,
+    ))
+}
 
-    let lossy = spec.threshold > 0 || stats.t_escalations > 0;
-    let mse_val = if lossy {
-        let crop = img.crop(0, 0, out_image.width(), out_image.height());
-        mse(&out_image, &crop)
-    } else {
-        0.0
+/// The response to a window job that produced `out`. `input` is the
+/// frame the MSE is measured against; only lossy runs read it, so a
+/// lossless live stream keeps no copy and passes `None`.
+fn window_response(
+    spec: &JobSpec,
+    out: ShardedOutput,
+    input: Option<&ImageU8>,
+    want_frame: bool,
+    exec_ns: u64,
+) -> JobResponse {
+    let image = out.image;
+    let lossy = spec.threshold > 0 || out.t_escalations > 0;
+    let mse_val = match input {
+        Some(input) if lossy => mse(&image, &input.crop(0, 0, image.width(), image.height())),
+        _ => 0.0,
     };
-
-    Ok(JobResponse {
+    // Per-strip stats do not aggregate into one FrameStats; the image
+    // digest is the cross-strip-count contract.
+    let (stats_dg, peak, management_bits, memory_saving_pct) = match &out.frame_stats {
+        Some(s) => (
+            stats_digest(s),
+            s.peak_payload_occupancy,
+            s.management_bits,
+            s.memory_saving_pct(),
+        ),
+        None => (0, out.peak_payload_occupancy, 0, 0.0),
+    };
+    JobResponse {
         workload: Workload::Window,
-        digest: image_digest(&out_image),
+        digest: image_digest(&image),
         stats_digest: stats_dg,
-        out_width: out_image.width() as u32,
-        out_height: out_image.height() as u32,
+        out_width: image.width() as u32,
+        out_height: image.height() as u32,
         effective_threshold: spec.threshold,
         degraded: false,
-        t_escalations: stats.t_escalations,
-        stall_cycles: stats.stall_cycles,
-        overflow_events: stats.overflow_events,
-        peak_payload_occupancy: stats.peak_payload_occupancy,
-        management_bits: stats.management_bits,
-        memory_saving_pct: stats.memory_saving_pct,
+        t_escalations: out.t_escalations,
+        stall_cycles: out.stall_cycles,
+        overflow_events: out.overflow_events as u64,
+        peak_payload_occupancy: peak,
+        management_bits,
+        memory_saving_pct,
         mse: mse_val,
         queue_ns: 0,
         exec_ns,
-        frame: req.want_frame.then(|| FramePayload::from_image(&out_image)),
-    })
-}
-
-struct RunStats {
-    t_escalations: u64,
-    stall_cycles: u64,
-    overflow_events: u64,
-    peak_payload_occupancy: u64,
-    management_bits: u64,
-    memory_saving_pct: f64,
+        frame: want_frame.then(|| FramePayload::from_image(&image)),
+    }
 }
 
 /// One row-streaming job in flight.
@@ -226,11 +170,11 @@ struct RunStats {
 /// Two execution modes behind one surface, chosen at [`begin`]:
 ///
 /// - **Live**: rows feed a [`SlidingWindowArch::push_row`] datapath as
-///   they arrive — the paper's line-granular shape. Available for window
-///   jobs running the sequential architecture without a memory unit
-///   (`jobs <= 1`, no overflow policy): the memory-unit planner needs a
-///   whole-frame lossless probe and the sharded runner needs the full
-///   strip, so neither can start before the last row.
+///   they arrive — the paper's line-granular shape. Available for
+///   one-strip window jobs without a memory unit (`jobs <= 1`, no
+///   overflow policy): the memory-unit planner needs a whole-frame
+///   lossless probe and K strips need their full strips, so neither can
+///   start before the last row.
 /// - **Buffered**: rows accumulate and the whole-frame [`execute`] path
 ///   runs at [`finish`]. This is how *every* job spec — sharded,
 ///   memory-unit-budgeted, integral — is streamable with byte-identical
@@ -252,6 +196,7 @@ pub struct StreamRun {
 
 enum StreamMode {
     Live {
+        cfg: ArchConfig,
         arch: Box<dyn SlidingWindowArch + Send>,
         kernel: Box<dyn WindowKernel>,
         /// Lossy jobs keep the input for the response's MSE field (the
@@ -270,34 +215,28 @@ impl StreamRun {
         let width = open.width as usize;
         let height = open.height as usize;
         let spec = &open.spec;
-        if spec.workload == Workload::Window && width <= spec.window + 1 {
-            return Err(JobError::Config(format!(
-                "image width {width} too small for window {}",
-                spec.window
-            )));
-        }
-        let live =
-            spec.workload == Workload::Window && spec.jobs <= 1 && spec.overflow_policy.is_none();
-        let mode = if live {
-            let cfg = spec.arch_config(width).map_err(|e| JobError::from_sw(&e))?;
-            let mut arch = build_arch(&cfg).map_err(|e| JobError::from_sw(&e))?;
-            arch.bind_telemetry(tele, "serve");
-            arch.begin_frame(height)
-                .map_err(|e| JobError::from_sw(&e))?;
-            StreamMode::Live {
-                arch,
-                kernel: spec.kernel.build(spec.window),
-                input_copy: (spec.threshold > 0).then(|| Vec::with_capacity(width * height)),
+        // Validate the geometry up front so a bad spec fails at open time
+        // in both modes, not after the last row.
+        let cfg = match spec.workload {
+            Workload::Window => Some(spec.arch_config(width).map_err(|e| JobError::from_sw(&e))?),
+            Workload::Integral => None,
+        };
+        let mode = match cfg {
+            Some(cfg) if spec.jobs <= 1 && spec.overflow_policy.is_none() => {
+                let mut arch = build_arch(&cfg).map_err(|e| JobError::from_sw(&e))?;
+                arch.bind_telemetry(tele, "serve");
+                arch.begin_frame(height)
+                    .map_err(|e| JobError::from_sw(&e))?;
+                StreamMode::Live {
+                    cfg,
+                    arch,
+                    kernel: spec.kernel.build(spec.window),
+                    input_copy: (spec.threshold > 0).then(|| Vec::with_capacity(width * height)),
+                }
             }
-        } else {
-            if spec.workload == Workload::Window {
-                // Validate the geometry up front so a bad spec fails at
-                // open time in both modes, not after the last row.
-                spec.arch_config(width).map_err(|e| JobError::from_sw(&e))?;
-            }
-            StreamMode::Buffered {
+            _ => StreamMode::Buffered {
                 pixels: Vec::with_capacity(width * height),
-            }
+            },
         };
         Ok(Self {
             tenant: open.tenant.clone(),
@@ -348,6 +287,7 @@ impl StreamRun {
                 arch,
                 kernel,
                 input_copy,
+                ..
             } => {
                 if let Some(copy) = input_copy {
                     copy.extend_from_slice(pixels);
@@ -383,44 +323,20 @@ impl StreamRun {
         let started = Instant::now();
         match self.mode {
             StreamMode::Live {
+                cfg,
                 mut arch,
                 input_copy,
                 ..
             } => {
                 let out = arch.finish_frame().map_err(|e| JobError::from_sw(&e))?;
-                let out_image = out.image;
-                let stats = &out.stats;
-                let lossy = spec.threshold > 0 || stats.t_escalations > 0;
-                let mse_val = match (lossy, input_copy) {
-                    (true, Some(copy)) => {
-                        let img = ImageU8::from_vec(width, height, copy);
-                        let crop = img.crop(0, 0, out_image.width(), out_image.height());
-                        mse(&out_image, &crop)
-                    }
-                    _ => 0.0,
-                };
-                Ok(JobResponse {
-                    workload: Workload::Window,
-                    digest: image_digest(&out_image),
-                    stats_digest: stats_digest(stats),
-                    out_width: out_image.width() as u32,
-                    out_height: out_image.height() as u32,
-                    effective_threshold: spec.threshold,
-                    degraded: false,
-                    t_escalations: stats.t_escalations,
-                    stall_cycles: stats.stall_cycles,
-                    overflow_events: stats.overflow_events as u64,
-                    peak_payload_occupancy: stats.peak_payload_occupancy,
-                    management_bits: stats.management_bits,
-                    memory_saving_pct: stats.memory_saving_pct(),
-                    mse: mse_val,
-                    queue_ns: 0,
-                    exec_ns: self.exec_ns + started.elapsed().as_nanos() as u64,
-                    frame: self
-                        .open
-                        .want_frame
-                        .then(|| FramePayload::from_image(&out_image)),
-                })
+                let input = input_copy.map(|copy| ImageU8::from_vec(width, height, copy));
+                Ok(window_response(
+                    &spec,
+                    ShardedOutput::from_frame(&cfg, out),
+                    input.as_ref(),
+                    self.open.want_frame,
+                    self.exec_ns + started.elapsed().as_nanos() as u64,
+                ))
             }
             StreamMode::Buffered { pixels } => {
                 let req = JobRequest {
@@ -445,6 +361,8 @@ impl StreamRun {
 mod tests {
     use super::*;
     use crate::api::JobSpec;
+    use sw_core::codec::LineCodecKind;
+    use sw_core::memory_unit::OverflowPolicy;
 
     fn test_image(w: usize, h: usize) -> ImageU8 {
         ImageU8::from_fn(w, h, |x, y| ((x * 7 + y * 13) % 251) as u8)
@@ -491,6 +409,113 @@ mod tests {
         assert_eq!(seq.digest, par.digest);
         assert_eq!(seq.out_width, par.out_width);
         assert_eq!((seq.out_width, seq.out_height), (57, 41));
+    }
+
+    /// A 64×48 gradient with seeded noise: compressible enough for the
+    /// codecs to differ, noisy enough for a quarter budget to bind.
+    fn seeded_image(w: usize, h: usize) -> ImageU8 {
+        let mut state = 0x9e37_79b9u32;
+        ImageU8::from_fn(w, h, |x, y| {
+            state = state.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+            ((x * 3 + y * 2 + (state >> 27) as usize) % 256) as u8
+        })
+    }
+
+    /// Every response field except the timings.
+    fn fingerprint(r: &JobResponse) -> String {
+        format!(
+            "{:?} {:#018x} {:#018x} {}x{} T{} degraded={} esc={} stall={} ovf={} \
+             peak={} mgmt={} saving={:?} mse={:?} frame={:?}",
+            r.workload,
+            r.digest,
+            r.stats_digest,
+            r.out_width,
+            r.out_height,
+            r.effective_threshold,
+            r.degraded,
+            r.t_escalations,
+            r.stall_cycles,
+            r.overflow_events,
+            r.peak_payload_occupancy,
+            r.management_bits,
+            r.memory_saving_pct,
+            r.mse,
+            r.frame
+                .as_ref()
+                .map(|f| format!("{:#018x}", image_digest(&f.image()))),
+        )
+    }
+
+    /// Responses over `jobs` × overflow policy × (codec, T), recorded
+    /// before one frame runner replaced the sequential and sharded
+    /// branches. The `jobs=2` rows pin the sharded path's documented
+    /// zeros (`stats_digest`, `management_bits`, `memory_saving_pct`).
+    const CHARACTERIZATION: [&str; 24] = [
+        "jobs=0 none haar T0: Window 0x3633139bc1cb5b32 0x84c1867a6ec6a8e8 57x41 T0 degraded=false esc=0 stall=0 ovf=0 peak=3067 mgmt=896 saving=-10.57477678571428 mse=0.0 frame=Some(\"0x3633139bc1cb5b32\")",
+        "jobs=0 none haar T4: Window 0x4f9912a3fa5303b2 0x372763d34c0bb8e9 57x41 T4 degraded=false esc=0 stall=0 ovf=0 peak=2674 mgmt=896 saving=0.390625 mse=2.3388960205391527 frame=Some(\"0x4f9912a3fa5303b2\")",
+        "jobs=0 none raw T0: Window 0x3633139bc1cb5b32 0x916acc0601f29505 57x41 T0 degraded=false esc=0 stall=0 ovf=0 peak=3136 mgmt=0 saving=0.0 mse=0.0 frame=Some(\"0x3633139bc1cb5b32\")",
+        "jobs=0 none legall T2: Window 0x4e8d13005a68ca4e 0xe4767ba8b54142c8 57x41 T2 degraded=false esc=0 stall=0 ovf=0 peak=3420 mgmt=896 saving=-20.42410714285714 mse=0.1985451433461703 frame=Some(\"0x4e8d13005a68ca4e\")",
+        "jobs=0 stall haar T0: Window 0x3633139bc1cb5b32 0x84c1867a6ec6a8e8 57x41 T0 degraded=false esc=0 stall=0 ovf=0 peak=3067 mgmt=896 saving=-10.57477678571428 mse=0.0 frame=Some(\"0x3633139bc1cb5b32\")",
+        "jobs=0 stall haar T4: Window 0x4f9912a3fa5303b2 0x372763d34c0bb8e9 57x41 T4 degraded=false esc=0 stall=0 ovf=0 peak=2674 mgmt=896 saving=0.390625 mse=2.3388960205391527 frame=Some(\"0x4f9912a3fa5303b2\")",
+        "jobs=0 stall raw T0: Window 0x3633139bc1cb5b32 0x916acc0601f29505 57x41 T0 degraded=false esc=0 stall=0 ovf=0 peak=3136 mgmt=0 saving=0.0 mse=0.0 frame=Some(\"0x3633139bc1cb5b32\")",
+        "jobs=0 stall legall T2: Window 0x4e8d13005a68ca4e 0xe4767ba8b54142c8 57x41 T2 degraded=false esc=0 stall=0 ovf=0 peak=3420 mgmt=896 saving=-20.42410714285714 mse=0.1985451433461703 frame=Some(\"0x4e8d13005a68ca4e\")",
+        "jobs=0 degrade haar T0: Window 0x3633139bc1cb5b32 0x84c1867a6ec6a8e8 57x41 T0 degraded=false esc=0 stall=0 ovf=0 peak=3067 mgmt=896 saving=-10.57477678571428 mse=0.0 frame=Some(\"0x3633139bc1cb5b32\")",
+        "jobs=0 degrade haar T4: Window 0x4f9912a3fa5303b2 0x372763d34c0bb8e9 57x41 T4 degraded=false esc=0 stall=0 ovf=0 peak=2674 mgmt=896 saving=0.390625 mse=2.3388960205391527 frame=Some(\"0x4f9912a3fa5303b2\")",
+        "jobs=0 degrade raw T0: Window 0x3633139bc1cb5b32 0x916acc0601f29505 57x41 T0 degraded=false esc=0 stall=0 ovf=0 peak=3136 mgmt=0 saving=0.0 mse=0.0 frame=Some(\"0x3633139bc1cb5b32\")",
+        "jobs=0 degrade legall T2: Window 0x4e8d13005a68ca4e 0xe4767ba8b54142c8 57x41 T2 degraded=false esc=0 stall=0 ovf=0 peak=3420 mgmt=896 saving=-20.42410714285714 mse=0.1985451433461703 frame=Some(\"0x4e8d13005a68ca4e\")",
+        "jobs=2 none haar T0: Window 0x3633139bc1cb5b32 0x0000000000000000 57x41 T0 degraded=false esc=0 stall=0 ovf=0 peak=3239 mgmt=0 saving=0.0 mse=0.0 frame=Some(\"0x3633139bc1cb5b32\")",
+        "jobs=2 none haar T4: Window 0xdd133d609838189d 0x0000000000000000 57x41 T4 degraded=false esc=0 stall=0 ovf=0 peak=2792 mgmt=0 saving=0.0 mse=2.41206675224647 frame=Some(\"0xdd133d609838189d\")",
+        "jobs=2 none raw T0: Window 0x3633139bc1cb5b32 0x0000000000000000 57x41 T0 degraded=false esc=0 stall=0 ovf=0 peak=0 mgmt=0 saving=0.0 mse=0.0 frame=Some(\"0x3633139bc1cb5b32\")",
+        "jobs=2 none legall T2: Window 0x13dd5fb9a9b94700 0x0000000000000000 57x41 T2 degraded=false esc=0 stall=0 ovf=0 peak=3696 mgmt=0 saving=0.0 mse=0.1600342319212666 frame=Some(\"0x13dd5fb9a9b94700\")",
+        "jobs=2 stall haar T0: Window 0x3633139bc1cb5b32 0x0000000000000000 57x41 T0 degraded=false esc=0 stall=127572 ovf=0 peak=3239 mgmt=0 saving=0.0 mse=0.0 frame=Some(\"0x3633139bc1cb5b32\")",
+        "jobs=2 stall haar T4: Window 0xdd133d609838189d 0x0000000000000000 57x41 T4 degraded=false esc=0 stall=104926 ovf=0 peak=2792 mgmt=0 saving=0.0 mse=2.41206675224647 frame=Some(\"0xdd133d609838189d\")",
+        "jobs=2 stall raw T0: Window 0x3633139bc1cb5b32 0x0000000000000000 57x41 T0 degraded=false esc=0 stall=428176 ovf=0 peak=0 mgmt=0 saving=0.0 mse=0.0 frame=Some(\"0x3633139bc1cb5b32\")",
+        "jobs=2 stall legall T2: Window 0x13dd5fb9a9b94700 0x0000000000000000 57x41 T2 degraded=false esc=0 stall=341682 ovf=0 peak=3696 mgmt=0 saving=0.0 mse=0.1600342319212666 frame=Some(\"0x13dd5fb9a9b94700\")",
+        "jobs=2 degrade haar T0: Window 0xf90d91f82696dc53 0x0000000000000000 57x41 T0 degraded=false esc=128 stall=0 ovf=2565 peak=1508 mgmt=0 saving=0.0 mse=76.59007274283269 frame=Some(\"0xf90d91f82696dc53\")",
+        "jobs=2 degrade haar T4: Window 0xe79ed2e13b382e70 0x0000000000000000 57x41 T4 degraded=false esc=96 stall=0 ovf=2547 peak=1520 mgmt=0 saving=0.0 mse=76.36371416345743 frame=Some(\"0xe79ed2e13b382e70\")",
+        "jobs=2 degrade raw T0: Window 0x3633139bc1cb5b32 0x0000000000000000 57x41 T0 degraded=false esc=0 stall=0 ovf=6128 peak=0 mgmt=0 saving=0.0 mse=0.0 frame=Some(\"0x3633139bc1cb5b32\")",
+        "jobs=2 degrade legall T2: Window 0xbfb32d6850521044 0x0000000000000000 57x41 T2 degraded=false esc=112 stall=0 ovf=5827 peak=2709 mgmt=0 saving=0.0 mse=49.78348309798888 frame=Some(\"0xbfb32d6850521044\")",
+    ];
+
+    #[test]
+    fn responses_match_the_recorded_characterization() {
+        let img = seeded_image(64, 48);
+        let pool = ThreadPool::new(2);
+        let tele = TelemetryHandle::disabled();
+        let mut got = Vec::new();
+        for jobs in [0, 2] {
+            for overflow_policy in [
+                None,
+                Some(OverflowPolicy::Stall),
+                Some(OverflowPolicy::DegradeLossy),
+            ] {
+                for (codec, threshold) in [
+                    (LineCodecKind::Haar, 0),
+                    (LineCodecKind::Haar, 4),
+                    (LineCodecKind::Raw, 0),
+                    (LineCodecKind::Legall, 2),
+                ] {
+                    let spec = JobSpec {
+                        jobs,
+                        overflow_policy,
+                        budget_fraction: if overflow_policy.is_some() { 0.25 } else { 1.0 },
+                        codec,
+                        threshold,
+                        ..JobSpec::default()
+                    };
+                    let mut req = request(spec, &img);
+                    req.want_frame = true;
+                    let r = execute(&req, &pool, &tele).unwrap();
+                    got.push(format!(
+                        "jobs={jobs} {} {} T{threshold}: {}",
+                        overflow_policy.map_or("none", OverflowPolicy::name),
+                        codec.name(),
+                        fingerprint(&r)
+                    ));
+                }
+            }
+        }
+        assert_eq!(got, CHARACTERIZATION, "actual:\n{:#?}", got);
     }
 
     #[test]

@@ -6,8 +6,6 @@
 //!
 //! * [`MetricsRegistry`] — named [`Counter`]s, [`Gauge`]s and fixed-bucket
 //!   [`Histogram`]s with atomic backends, safe to share across threads.
-//! * [`Span`] — lightweight wall-clock timers feeding `<name>.ns_total` /
-//!   `<name>.calls` counter pairs.
 //! * [`SpanProfiler`] / [`ProfileSpan`] — hierarchical spans with parent /
 //!   child nesting on a thread-local stack, self-time vs child-time
 //!   attribution, log₂-bucketed duration percentiles, and a flame-style
@@ -46,13 +44,11 @@ pub mod json;
 pub mod metrics;
 pub mod profile;
 pub mod report;
-pub mod span;
 pub mod trace;
 
 pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry};
 pub use profile::{PathProfile, ProfileSnapshot, ProfileSpan, SpanProfiler};
 pub use report::{prometheus_series, HistogramSnapshot, Report};
-pub use span::Span;
 pub use trace::{TraceEvent, TraceKind, TraceRing};
 
 use std::io::{self, Write};
@@ -126,19 +122,6 @@ impl TelemetryHandle {
         match &self.inner {
             Some(i) => i.registry.histogram(name, bounds),
             None => Histogram::noop(),
-        }
-    }
-
-    /// Start a wall-clock span feeding `<name>.ns_total` / `<name>.calls`.
-    /// Records on drop; free when disabled.
-    pub fn span(&self, name: &str) -> Span {
-        if self.is_enabled() {
-            Span::started(
-                self.counter(&format!("{name}.ns_total")),
-                self.counter(&format!("{name}.calls")),
-            )
-        } else {
-            Span::noop()
         }
     }
 
@@ -262,8 +245,9 @@ mod tests {
         t.trace(TraceEvent::new(1, TraceKind::Pack, 2, 3));
         assert_eq!(t.trace_len(), 0);
         assert!(t.report().is_empty());
-        drop(t.span("s"));
+        drop(t.profile_span("s"));
         assert!(t.report().is_empty());
+        assert!(t.profile_snapshot().paths.is_empty());
     }
 
     #[test]
@@ -275,19 +259,6 @@ mod tests {
         c1.inc();
         c2.add(2);
         assert_eq!(t.report().counters["shared"], 3);
-    }
-
-    #[test]
-    fn span_records_time_and_calls() {
-        let t = TelemetryHandle::new();
-        for _ in 0..3 {
-            let _s = t.span("work");
-        }
-        let r = t.report();
-        assert_eq!(r.counters["work.calls"], 3);
-        // ns_total is monotone; zero only if the clock is broken, but allow
-        // it: just check the key exists.
-        assert!(r.counters.contains_key("work.ns_total"));
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Hierarchical span profiling with self-time attribution.
 //!
-//! [`crate::Span`] gives flat `<name>.ns_total` counters; this module adds
-//! the structure the flat counters cannot express: *which stage inside which
-//! stage* the time went to. A [`ProfileSpan`] pushed while another is open
+//! This is the crate's one timing mechanism. It records *which stage
+//! inside which stage* the time went to: a [`ProfileSpan`] pushed while
+//! another is open
 //! becomes its child — nesting is tracked per thread on a thread-local span
 //! stack, so the hot path never takes a lock to discover its parent. Each
 //! completed span records into a per-*path* statistics table ("pipeline",

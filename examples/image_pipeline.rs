@@ -27,8 +27,8 @@ fn stages(buffering: fn(Box<dyn WindowKernel>) -> Stage) -> Pipeline {
 fn main() {
     let img = ScenePreset::ALL[8].render(512, 256);
 
-    let mut traditional = stages(Stage::traditional);
-    let mut compressed = stages(|k| Stage::compressed(k, 0));
+    let traditional = stages(Stage::traditional);
+    let compressed = stages(|k| Stage::compressed(k, 0));
 
     let t = traditional.run(&img).expect("pipeline geometry is valid");
     let c = compressed.run(&img).expect("pipeline geometry is valid");
@@ -51,7 +51,7 @@ fn main() {
     );
 
     // A lossy variant for BRAM-starved devices: threshold 4 on every stage.
-    let mut lossy = stages(|k| Stage::compressed(k, 4));
+    let lossy = stages(|k| Stage::compressed(k, 4));
     let l = lossy.run(&img).expect("pipeline geometry is valid");
     let err = mse(&t.image, &l.image);
     println!(

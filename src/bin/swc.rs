@@ -22,9 +22,7 @@
 //! number printed is identical for any `N` — see `tests/determinism.rs`.
 
 use modified_sliding_window::bench::perf;
-use modified_sliding_window::core::analysis::{analyze_frame, analyze_frame_par, measure_frame};
-use modified_sliding_window::core::arch::build_arch;
-use modified_sliding_window::core::compressed::CompressedSlidingWindow;
+use modified_sliding_window::core::analysis::{analyze_frame, analyze_frame_par};
 use modified_sliding_window::core::faults::FaultInjector;
 use modified_sliding_window::core::kernels::Tap;
 use modified_sliding_window::core::memory_unit::{MemoryUnitConfig, OverflowPolicy};
@@ -189,10 +187,6 @@ impl Opts {
 
     fn overflow_policy(&self) -> Option<OverflowPolicy> {
         self.spec.overflow_policy()
-    }
-
-    fn budget_fraction(&self) -> f64 {
-        self.spec.budget_fraction()
     }
 
     /// Whether any telemetry output was requested.
@@ -588,43 +582,94 @@ fn reject_runtime(o: &Opts, cmd: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Provision a memory unit for the run: the planner's structured BRAM
-/// budget for this frame (measured losslessly on the selected codec's
-/// datapath), scaled by `--budget-fraction`.
-fn memory_unit_for(img: &ImageU8, o: &Opts) -> Result<Option<MemoryUnitConfig>, String> {
-    let Some(policy) = o.overflow_policy() else {
-        return Ok(None);
-    };
-    let probe = config(img, o)?.with_threshold(0);
-    let stats = measure_frame(img, &probe).map_err(|e| e.to_string())?;
-    let p = plan(
-        o.window(),
-        img.width(),
-        stats.peak_payload_occupancy,
-        MgmtAccounting::Structured,
-    );
-    let mut mu = MemoryUnitConfig::from_plan(&p, policy);
-    if o.budget_fraction() != 1.0 {
-        mu.capacity_bits = ((mu.capacity_bits as f64 * o.budget_fraction()) as u64).max(1);
-    }
-    Ok(Some(mu))
+/// What the datapath runs of one `analyze`/`sweep` invocation share:
+/// telemetry, the memory unit, the fault injector, and the pool the Haar
+/// analyzer's `--jobs` runs strip-parallel on.
+struct Datapath<'a> {
+    tele: TelemetryHandle,
+    mu: Option<MemoryUnitConfig>,
+    faults: Option<FaultInjector>,
+    /// `Some`: run [`DEFAULT_STRIPS`] strips on it; `None`: one strip.
+    pool: Option<&'a ThreadPool>,
 }
 
-/// Print the memory-unit policy outcome for one datapath run.
-fn print_policy_outcome(
-    policy: OverflowPolicy,
-    mu: MemoryUnitConfig,
-    stalls: u64,
-    escalations: u64,
-    overflows: usize,
-) {
+impl<'a> Datapath<'a> {
+    /// Provision the run for `img`: the planner's structured BRAM budget
+    /// for `cfg` (measured losslessly), scaled by `--budget-fraction`.
+    fn new(
+        img: &ImageU8,
+        o: &Opts,
+        cfg: &ArchConfig,
+        pool: Option<&'a ThreadPool>,
+    ) -> Result<Self, String> {
+        Ok(Self {
+            tele: if o.wants_telemetry() {
+                TelemetryHandle::new()
+            } else {
+                TelemetryHandle::disabled()
+            },
+            mu: o
+                .spec
+                .build()?
+                .memory_unit(img, cfg)
+                .map_err(|e| e.to_string())?,
+            faults: o.fault_seed.map(FaultInjector::seeded),
+            pool,
+        })
+    }
+
+    /// Run `cfg`'s datapath once over `img` with the most-recirculated tap
+    /// kernel, reporting telemetry under `name`.
+    fn run(&self, img: &ImageU8, cfg: ArchConfig, name: &str) -> Result<ShardedOutput, String> {
+        let mut runner = ShardedFrameRunner::new(cfg)
+            .with_strips(if self.pool.is_some() {
+                DEFAULT_STRIPS
+            } else {
+                1
+            })
+            .with_named_telemetry(&self.tele, name);
+        if let Some(mu) = self.mu {
+            runner = runner.with_memory_unit(mu);
+        }
+        if let Some(f) = self.faults.clone() {
+            runner = runner.with_fault_injector(f);
+        }
+        runner
+            .run(
+                img,
+                &Tap::top_left(cfg.window),
+                self.pool.unwrap_or(&ThreadPool::new(1)),
+            )
+            .map_err(|e| e.to_string())
+    }
+
+    /// Print the memory-unit policy outcome of one run (policy runs only).
+    fn print_policy_outcome(&self, o: &Opts, out: &ShardedOutput) {
+        if let (Some(policy), Some(mu)) = (o.overflow_policy(), self.mu) {
+            println!(
+                "overflow policy '{}':  budget {} bits  stalls {}  T escalations {}  overflow events {}",
+                policy.name(),
+                mu.capacity_bits,
+                out.stall_cycles,
+                out.t_escalations,
+                out.overflow_events
+            );
+        }
+    }
+}
+
+/// MSE of a datapath output against the matching region of its input.
+fn delivered_mse(img: &ImageU8, out: &ImageU8) -> f64 {
+    mse(out, &img.crop(0, 0, out.width(), out.height()))
+}
+
+/// Print the delivered-quality line for a datapath output.
+fn print_delivered_quality(img: &ImageU8, out: &ImageU8) {
+    let crop = img.crop(0, 0, out.width(), out.height());
     println!(
-        "overflow policy '{}':  budget {} bits  stalls {}  T escalations {}  overflow events {}",
-        policy.name(),
-        mu.capacity_bits,
-        stalls,
-        escalations,
-        overflows
+        "delivered quality:    MSE {:.2}  PSNR {:.1} dB (compounded, worst window row)",
+        mse(out, &crop),
+        psnr(out, &crop)
     );
 }
 
@@ -636,13 +681,6 @@ fn require_window(o: &Opts) -> Result<(), String> {
 }
 
 fn config(img: &ImageU8, o: &Opts) -> Result<ArchConfig, String> {
-    if img.width() <= o.window() + 1 {
-        return Err(format!(
-            "image width {} too small for window {}",
-            img.width(),
-            o.window()
-        ));
-    }
     // One conversion point: the same spec -> ArchConfig mapping the daemon
     // applies to decoded job requests.
     o.spec
@@ -690,71 +728,14 @@ fn analyze(img: &ImageU8, o: &Opts) -> Result<(), String> {
     );
     if o.threshold() > 0 || o.wants_telemetry() || o.wants_runtime() {
         // Run the actual datapath: for lossy quality numbers, for
-        // telemetry, for a policy or fault run, or any combination
-        // (most-recirculated tap kernel).
-        let tele = if o.wants_telemetry() {
-            TelemetryHandle::new()
-        } else {
-            TelemetryHandle::disabled()
-        };
-        let mu = memory_unit_for(img, o)?;
-        let faults = o.fault_seed.map(FaultInjector::seeded);
-        let kernel = Tap::top_left(o.window());
-        let (out_image, escalations) = match &pool {
-            Some(p) => {
-                let mut runner = ShardedFrameRunner::new(cfg)
-                    .with_strips(DEFAULT_STRIPS)
-                    .with_named_telemetry(&tele, "analyze");
-                if let Some(mu) = mu {
-                    runner = runner.with_memory_unit(mu);
-                }
-                if let Some(f) = faults.clone() {
-                    runner = runner.with_fault_injector(f);
-                }
-                let out = runner.run(img, &kernel, p).map_err(|e| e.to_string())?;
-                if let (Some(policy), Some(mu)) = (o.overflow_policy(), mu) {
-                    print_policy_outcome(
-                        policy,
-                        mu,
-                        out.stall_cycles,
-                        out.t_escalations,
-                        out.overflow_events,
-                    );
-                }
-                (out.image, out.t_escalations)
-            }
-            None => {
-                let mut arch = CompressedSlidingWindow::new(cfg).with_telemetry(&tele);
-                if let Some(mu) = mu {
-                    arch = arch.with_memory_unit(mu);
-                }
-                if let Some(f) = faults.clone() {
-                    arch = arch.with_fault_injector(f);
-                }
-                let out = arch
-                    .process_frame(img, &kernel)
-                    .map_err(|e| e.to_string())?;
-                if let (Some(policy), Some(mu)) = (o.overflow_policy(), mu) {
-                    print_policy_outcome(
-                        policy,
-                        mu,
-                        out.stats.stall_cycles,
-                        out.stats.t_escalations,
-                        out.stats.overflow_events,
-                    );
-                }
-                (out.image, out.stats.t_escalations)
-            }
-        };
-        if o.threshold() > 0 || escalations > 0 || faults.is_some() {
-            let crop = img.crop(0, 0, out_image.width(), out_image.height());
-            println!(
-                "delivered quality:    MSE {:.2}  PSNR {:.1} dB (compounded, worst window row)",
-                mse(&out_image, &crop),
-                psnr(&out_image, &crop)
-            );
+        // telemetry, for a policy or fault run, or any combination.
+        let dp = Datapath::new(img, o, &cfg, pool.as_ref())?;
+        let out = dp.run(img, cfg, "compressed")?;
+        dp.print_policy_outcome(o, &out);
+        if o.threshold() > 0 || out.t_escalations > 0 || dp.faults.is_some() {
+            print_delivered_quality(img, &out.image);
         }
-        write_telemetry(&tele, o)?;
+        write_telemetry(&dp.tele, o)?;
     }
     Ok(())
 }
@@ -764,11 +745,6 @@ fn analyze(img: &ImageU8, o: &Opts) -> Result<(), String> {
 /// as the default path plus a `codec:` line.
 fn analyze_codec(img: &ImageU8, o: &Opts) -> Result<(), String> {
     let cfg = config(img, o)?;
-    let tele = if o.wants_telemetry() {
-        TelemetryHandle::new()
-    } else {
-        TelemetryHandle::disabled()
-    };
     println!(
         "image {}x{}  window {}  threshold {}  codec {}",
         img.width(),
@@ -777,47 +753,24 @@ fn analyze_codec(img: &ImageU8, o: &Opts) -> Result<(), String> {
         o.threshold(),
         o.codec().name()
     );
-    let kernel = Tap::top_left(o.window());
-    let mu = memory_unit_for(img, o)?;
-    let faults = o.fault_seed.map(FaultInjector::seeded);
-    let mut arch = build_arch(&cfg).map_err(|e| e.to_string())?;
-    arch.bind_telemetry(&tele, "analyze");
-    if mu.is_some() {
-        arch.set_memory_unit(mu);
-    }
-    if faults.is_some() {
-        arch.set_fault_injector(faults.clone());
-    }
-    let out = arch
-        .process_frame(img, &kernel)
-        .map_err(|e| e.to_string())?;
-    let s = out.stats;
+    let dp = Datapath::new(img, o, &cfg, None)?;
+    let out = dp.run(img, cfg, "analyze")?;
+    let s = out
+        .frame_stats
+        .expect("a one-strip run reports its frame stats");
     println!("memory saving (Eq 5): {:.1}%", s.memory_saving_pct());
     println!(
         "worst-case occupancy: {} bits payload + {} bits mgmt",
         s.peak_payload_occupancy, s.management_bits
     );
-    if let (Some(policy), Some(mu)) = (o.overflow_policy(), mu) {
-        print_policy_outcome(
-            policy,
-            mu,
-            s.stall_cycles,
-            s.t_escalations,
-            s.overflow_events,
-        );
-    }
+    dp.print_policy_outcome(o, &out);
     if (o.threshold() > 0 && o.codec().is_lossy_capable())
         || s.t_escalations > 0
-        || faults.is_some()
+        || dp.faults.is_some()
     {
-        let crop = img.crop(0, 0, out.image.width(), out.image.height());
-        println!(
-            "delivered quality:    MSE {:.2}  PSNR {:.1} dB (compounded, worst window row)",
-            mse(&out.image, &crop),
-            psnr(&out.image, &crop)
-        );
+        print_delivered_quality(img, &out.image);
     }
-    write_telemetry(&tele, o)
+    write_telemetry(&dp.tele, o)
 }
 
 /// Write the requested telemetry outputs (metrics JSON, trace JSONL).
@@ -899,129 +852,56 @@ fn sweep(img: &ImageU8, o: &Opts) -> Result<(), String> {
     if o.workload() == Workload::Integral {
         return sweep_integral(img, o);
     }
-    let tele = if o.wants_telemetry() {
-        TelemetryHandle::new()
-    } else {
-        TelemetryHandle::disabled()
-    };
     let pool = o.jobs().map(ThreadPool::new);
-    let mu = memory_unit_for(img, o)?;
-    let faults = o.fault_seed.map(FaultInjector::seeded);
+    // Non-default codecs report the datapath's own frame stats, which only
+    // a one-strip run has (they are strip-count independent anyway).
+    let haar = o.codec() == LineCodecKind::Haar;
+    let dp = Datapath::new(img, o, &config(img, o)?, pool.as_ref().filter(|_| haar))?;
     println!("T   saving%   worst payload bits   delivered MSE");
     for t in [0i16, 2, 4, 6, 8] {
         let cfg = config(img, o)?.with_threshold(t);
-        if o.codec() != LineCodecKind::Haar {
-            sweep_codec_row(img, o, &cfg, t, &tele, mu, &faults)?;
-            continue;
-        }
-        let a = match &pool {
-            Some(p) => analyze_frame_par(img, &cfg, p).map_err(|e| e.to_string())?,
-            None => analyze_frame(img, &cfg),
-        };
-        let mut outcome = None;
-        let e = if t == 0 && !o.wants_telemetry() && !o.wants_runtime() {
-            0.0
-        } else {
-            // Each threshold reports as its own stage in the telemetry.
-            let out_image = match &pool {
-                Some(p) => {
-                    let mut runner = ShardedFrameRunner::new(cfg)
-                        .with_strips(DEFAULT_STRIPS)
-                        .with_named_telemetry(&tele, &format!("t{t}"));
-                    if let Some(mu) = mu {
-                        runner = runner.with_memory_unit(mu);
-                    }
-                    if let Some(f) = faults.clone() {
-                        runner = runner.with_fault_injector(f);
-                    }
-                    let out = runner
-                        .run(img, &Tap::top_left(o.window()), p)
-                        .map_err(|e| e.to_string())?;
-                    outcome = Some((out.stall_cycles, out.t_escalations, out.overflow_events));
-                    out.image
-                }
-                None => {
-                    let mut arch = CompressedSlidingWindow::new(cfg)
-                        .with_named_telemetry(&tele, &format!("t{t}"));
-                    if let Some(mu) = mu {
-                        arch = arch.with_memory_unit(mu);
-                    }
-                    if let Some(f) = faults.clone() {
-                        arch = arch.with_fault_injector(f);
-                    }
-                    let out = arch
-                        .process_frame(img, &Tap::top_left(o.window()))
-                        .map_err(|e| e.to_string())?;
-                    outcome = Some((
-                        out.stats.stall_cycles,
-                        out.stats.t_escalations,
-                        out.stats.overflow_events,
-                    ));
-                    out.image
-                }
+        // Each threshold reports as its own stage in the telemetry.
+        let name = format!("t{t}");
+        let (saving, worst, e, out) = if haar {
+            let a = match &pool {
+                Some(p) => analyze_frame_par(img, &cfg, p).map_err(|e| e.to_string())?,
+                None => analyze_frame(img, &cfg),
             };
-            let crop = img.crop(0, 0, out_image.width(), out_image.height());
-            mse(&out_image, &crop)
+            let out = if t == 0 && !o.wants_telemetry() && !o.wants_runtime() {
+                None
+            } else {
+                Some(dp.run(img, cfg, &name)?)
+            };
+            let e = out
+                .as_ref()
+                .map_or(0.0, |out| delivered_mse(img, &out.image));
+            (a.saving_pct(), a.worst_payload_occupancy, e, out)
+        } else {
+            let out = dp.run(img, cfg, &name)?;
+            let s = out
+                .frame_stats
+                .expect("a one-strip run reports its frame stats");
+            let e = if (t > 0 && o.codec().is_lossy_capable())
+                || s.t_escalations > 0
+                || dp.faults.is_some()
+            {
+                delivered_mse(img, &out.image)
+            } else {
+                0.0
+            };
+            (
+                s.memory_saving_pct(),
+                s.peak_payload_occupancy,
+                e,
+                Some(out),
+            )
         };
-        println!(
-            "{t:<3} {:>7.1}   {:>18}   {e:>13.2}",
-            a.saving_pct(),
-            a.worst_payload_occupancy
-        );
-        if let (Some(policy), Some(mu), Some((st, esc, ovf))) = (o.overflow_policy(), mu, outcome) {
-            print_policy_outcome(policy, mu, st, esc, ovf);
+        println!("{t:<3} {saving:>7.1}   {worst:>18}   {e:>13.2}");
+        if let Some(out) = &out {
+            dp.print_policy_outcome(o, out);
         }
     }
-    write_telemetry(&tele, o)
-}
-
-/// One `swc sweep` table row for a non-default codec, measured on the real
-/// datapath (stats are strip-count independent; the sequential run is the
-/// reference the sharded runner is tested against).
-fn sweep_codec_row(
-    img: &ImageU8,
-    o: &Opts,
-    cfg: &ArchConfig,
-    t: i16,
-    tele: &TelemetryHandle,
-    mu: Option<MemoryUnitConfig>,
-    faults: &Option<FaultInjector>,
-) -> Result<(), String> {
-    let mut arch = build_arch(cfg).map_err(|e| e.to_string())?;
-    arch.bind_telemetry(tele, &format!("t{t}"));
-    if mu.is_some() {
-        arch.set_memory_unit(mu);
-    }
-    if faults.is_some() {
-        arch.set_fault_injector(faults.clone());
-    }
-    let out = arch
-        .process_frame(img, &Tap::top_left(o.window()))
-        .map_err(|e| e.to_string())?;
-    let e = if (t > 0 && o.codec().is_lossy_capable())
-        || out.stats.t_escalations > 0
-        || faults.is_some()
-    {
-        let crop = img.crop(0, 0, out.image.width(), out.image.height());
-        mse(&out.image, &crop)
-    } else {
-        0.0
-    };
-    println!(
-        "{t:<3} {:>7.1}   {:>18}   {e:>13.2}",
-        out.stats.memory_saving_pct(),
-        out.stats.peak_payload_occupancy
-    );
-    if let (Some(policy), Some(mu)) = (o.overflow_policy(), mu) {
-        print_policy_outcome(
-            policy,
-            mu,
-            out.stats.stall_cycles,
-            out.stats.t_escalations,
-            out.stats.overflow_events,
-        );
-    }
-    Ok(())
+    write_telemetry(&dp.tele, o)
 }
 
 fn scene(which: &str, out: &str, o: &Opts) -> Result<(), String> {
