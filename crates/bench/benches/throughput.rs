@@ -68,7 +68,9 @@ fn bench_telemetry_overhead(c: &mut Criterion) {
     // within ~2 % of a build that never heard of telemetry; the three cases
     // below make the cost visible. "unbound" is the plain constructor,
     // "disabled" binds instruments from a disabled handle, "enabled" pays
-    // the full atomic-counter + histogram + trace-ring price.
+    // the price the daemon always pays: local tallies per column group,
+    // published once per row (one atomic per series, one trace-ring lock,
+    // one clock pair), plus one timed encode and decode group in 64.
     let mut group = c.benchmark_group("telemetry_overhead");
     group.sample_size(20);
     let img = ScenePreset::ALL[0].render(256, 256);

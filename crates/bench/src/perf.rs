@@ -5,8 +5,12 @@
 //! Each **cell** is one `(kernel, codec, mode)` triple — mode `seq` runs
 //! the unsharded datapath, mode `par` the halo-sharded runner on a thread
 //! pool. Throughput frames run with telemetry *disabled* (the production
-//! configuration); one extra frame per cell runs with the hierarchical
-//! profiler enabled to produce the `stage_breakdown`. Because the
+//! configuration); [`PROFILED_FRAMES`] extra frames per cell run with the
+//! hierarchical profiler enabled, and the fastest one's profile is the
+//! `stage_breakdown` (its root total is the cell's `profiled_ns`). A
+//! profile is only worth reading if its probes do not distort the frame:
+//! [`probe_distortion`] is the median `profiled_ns ÷ p50_ns` over `seq`
+//! cells, and a full run fails past [`MAX_PROBE_DISTORTION`]. Because the
 //! profiler attributes every nanosecond of a parent span to exactly one
 //! child (or to the parent's self time), a `seq` cell's `self_ns`
 //! column sums to the root span's total — the invariant
@@ -40,6 +44,12 @@ pub const SCHEMA_VERSION: u64 = 1;
 pub const KERNELS: [&str; 3] = ["box", "gaussian", "sobel"];
 /// Window size shared by every cell (divisible by 4 for `haar2`).
 pub const WINDOW: usize = 8;
+/// Profiled frames per cell; the fastest supplies the breakdown.
+pub const PROFILED_FRAMES: usize = 3;
+/// The largest median `profiled_ns ÷ p50_ns` over `seq` cells a full
+/// run accepts: a profiled frame may cost at most 10 % more than an
+/// unprofiled one.
+pub const MAX_PROBE_DISTORTION: f64 = 1.10;
 
 fn kernel_by_name(name: &str) -> Box<dyn WindowKernel> {
     match name {
@@ -63,6 +73,13 @@ pub struct BenchSettings {
     pub jobs: usize,
     /// Whether these are the reduced `--quick` settings.
     pub quick: bool,
+    /// The machine's `std::thread::available_parallelism` when the run
+    /// was made (`None` in reports that predate the field).
+    pub available_parallelism: Option<usize>,
+}
+
+fn available_parallelism() -> Option<usize> {
+    std::thread::available_parallelism().ok().map(|n| n.get())
 }
 
 impl BenchSettings {
@@ -74,6 +91,7 @@ impl BenchSettings {
             frames: 8,
             jobs,
             quick: false,
+            available_parallelism: available_parallelism(),
         }
     }
 
@@ -85,6 +103,7 @@ impl BenchSettings {
             frames: 2,
             jobs,
             quick: true,
+            available_parallelism: available_parallelism(),
         }
     }
 
@@ -132,8 +151,8 @@ pub struct CellResult {
     /// datapath (deterministic; identical for `seq` and `par` cells so
     /// modes stay comparable — the sharded datapath re-packs halo rows).
     pub bytes_packed: u64,
-    /// Hierarchical profile of one extra instrumented frame, in span
-    /// path order (root first).
+    /// Hierarchical profile of the fastest of [`PROFILED_FRAMES`]
+    /// instrumented frames, in span path order (root first).
     pub stage_breakdown: Vec<StageTime>,
 }
 
@@ -147,7 +166,56 @@ impl CellResult {
 
     /// The root stage's subtree total (0 for an empty breakdown).
     pub fn breakdown_root_total_ns(&self) -> u64 {
-        self.stage_breakdown.first().map_or(0, |s| s.total_ns)
+        self.profiled_ns().unwrap_or(0)
+    }
+
+    /// Wall time of the profiled frame (the breakdown's root total), the
+    /// JSON's `profiled_ns`; `None` without a breakdown.
+    pub fn profiled_ns(&self) -> Option<u64> {
+        self.stage_breakdown.first().map(|s| s.total_ns)
+    }
+
+    /// `profiled_ns ÷ p50_ns`: what the profiler's probes cost a frame.
+    pub fn profiled_per_p50(&self) -> Option<f64> {
+        let profiled = self.profiled_ns()?;
+        (self.p50_ns > 0).then(|| profiled as f64 / self.p50_ns as f64)
+    }
+}
+
+/// Median [`CellResult::profiled_per_p50`] over the `seq` cells (`par`
+/// breakdowns hold strip work time, not wall time); `None` when no `seq`
+/// cell carries a profile.
+pub fn probe_distortion(cells: &[CellResult]) -> Option<f64> {
+    let mut ratios: Vec<f64> = cells
+        .iter()
+        .filter(|c| c.mode == "seq")
+        .filter_map(CellResult::profiled_per_p50)
+        .collect();
+    if ratios.is_empty() {
+        return None;
+    }
+    ratios.sort_by(f64::total_cmp);
+    let mid = ratios.len() / 2;
+    Some(if ratios.len() % 2 == 1 {
+        ratios[mid]
+    } else {
+        (ratios[mid - 1] + ratios[mid]) / 2.0
+    })
+}
+
+/// The probe-distortion gate: fails when [`probe_distortion`] exceeds
+/// [`MAX_PROBE_DISTORTION`]. Reports without `seq` profiles pass.
+///
+/// # Errors
+///
+/// A message naming the measured median and the bound.
+pub fn check_probe_distortion(cells: &[CellResult]) -> Result<(), String> {
+    match probe_distortion(cells) {
+        Some(r) if r > MAX_PROBE_DISTORTION => Err(format!(
+            "probe distortion gate failed: median prof/p50 over seq cells is {r:.3} \
+             (bound {MAX_PROBE_DISTORTION:.2})"
+        )),
+        _ => Ok(()),
     }
 }
 
@@ -271,24 +339,32 @@ pub fn run_cell(
     let p50_ns = percentile(&samples_ns, 0.50);
     let p99_ns = percentile(&samples_ns, 0.99);
 
-    // One extra frame under the hierarchical profiler for the breakdown.
-    let tele = TelemetryHandle::new();
-    ShardedFrameRunner::new(cfg)
-        .with_strips(if par { DEFAULT_STRIPS } else { 1 })
-        .with_named_telemetry(&tele, "bench")
-        .run(img, kernel.as_ref(), pool)
-        .map_err(|e| e.to_string())?;
-    let snap = tele.profile_snapshot();
-    let stage_breakdown = snap
-        .paths
-        .iter()
-        .map(|(path, p)| StageTime {
-            stage: path.clone(),
-            total_ns: p.total_ns,
-            self_ns: p.self_ns(),
-            calls: p.calls,
-        })
-        .collect();
+    // Extra frames under the hierarchical profiler, each with a fresh
+    // handle; the fastest supplies the breakdown.
+    let mut stage_breakdown: Vec<StageTime> = Vec::new();
+    for _ in 0..PROFILED_FRAMES {
+        let tele = TelemetryHandle::new();
+        ShardedFrameRunner::new(cfg)
+            .with_strips(if par { DEFAULT_STRIPS } else { 1 })
+            .with_named_telemetry(&tele, "bench")
+            .run(img, kernel.as_ref(), pool)
+            .map_err(|e| e.to_string())?;
+        let breakdown: Vec<StageTime> = tele
+            .profile_snapshot()
+            .paths
+            .iter()
+            .map(|(path, p)| StageTime {
+                stage: path.clone(),
+                total_ns: p.total_ns,
+                self_ns: p.self_ns(),
+                calls: p.calls,
+            })
+            .collect();
+        let root = |b: &[StageTime]| b.first().map_or(u64::MAX, |s| s.total_ns);
+        if root(&breakdown) < root(&stage_breakdown) {
+            stage_breakdown = breakdown;
+        }
+    }
 
     Ok(CellResult {
         cell: format!("{kernel_name}/{}/{mode}", codec.name()),
@@ -440,6 +516,9 @@ impl BenchReport {
             esc(&self.created_utc)
         ));
         s.push_str(&format!("  \"workload\": \"{}\",\n", esc(&self.workload)));
+        if let Some(n) = self.settings.available_parallelism {
+            s.push_str(&format!("  \"available_parallelism\": {n},\n"));
+        }
         s.push_str(&format!(
             "  \"frame\": {{\"width\": {}, \"height\": {}, \"frames\": {}, \"window\": {WINDOW}, \"jobs\": {}, \"quick\": {}}},\n",
             self.settings.width,
@@ -459,6 +538,9 @@ impl BenchReport {
             s.push_str(&format!("      \"p50_ns\": {},\n", c.p50_ns));
             s.push_str(&format!("      \"p99_ns\": {},\n", c.p99_ns));
             s.push_str(&format!("      \"bytes_packed\": {},\n", c.bytes_packed));
+            if let Some(ns) = c.profiled_ns() {
+                s.push_str(&format!("      \"profiled_ns\": {ns},\n"));
+            }
             s.push_str("      \"stage_breakdown\": [");
             for (j, st) in c.stage_breakdown.iter().enumerate() {
                 if j > 0 {
@@ -536,6 +618,14 @@ impl BenchReport {
                 .get("quick")
                 .and_then(Json::as_bool)
                 .ok_or("bench JSON: missing frame field 'quick'")?,
+            available_parallelism: match obj.get("available_parallelism") {
+                Some(v) => Some(
+                    v.as_u64()
+                        .ok_or("bench JSON: non-integer 'available_parallelism'")?
+                        as usize,
+                ),
+                None => None,
+            },
         };
         if fu("window")? as usize != WINDOW {
             return Err(format!("bench JSON: window != {WINDOW}"));
@@ -601,7 +691,7 @@ fn parse_cell(v: &Json) -> Result<CellResult, String> {
             calls: su("calls")?,
         });
     }
-    Ok(CellResult {
+    let cell = CellResult {
         cell: st("cell")?,
         kernel: st("kernel")?,
         codec: st("codec")?,
@@ -611,7 +701,15 @@ fn parse_cell(v: &Json) -> Result<CellResult, String> {
         p99_ns: nu("p99_ns")?,
         bytes_packed: nu("bytes_packed")?,
         stage_breakdown,
-    })
+    };
+    // `profiled_ns` is derived from the breakdown; older reports omit it.
+    if obj.contains_key("profiled_ns") && Some(nu("profiled_ns")?) != cell.profiled_ns() {
+        return Err(format!(
+            "bench JSON: cell '{}' profiled_ns disagrees with its breakdown root",
+            cell.cell
+        ));
+    }
+    Ok(cell)
 }
 
 // ---------------------------------------------------------------------
@@ -796,6 +894,7 @@ mod tests {
             frames: 2,
             jobs: 2,
             quick: true,
+            available_parallelism: Some(2),
         }
     }
 
@@ -1013,6 +1112,64 @@ mod tests {
         let mut new = base.clone();
         new.version = 2;
         assert!(compare(&base, &new, 10.0).is_err());
+    }
+
+    /// A cell whose profiled frame took `ratio` × its p50.
+    fn distorted_cell(id: &str, mode: &str, ratio: f64) -> CellResult {
+        let mut c = synthetic_report(&[(id, 10.0)]).cells.remove(0);
+        c.mode = mode.to_string();
+        c.stage_breakdown[0].total_ns = (c.p50_ns as f64 * ratio) as u64;
+        c
+    }
+
+    #[test]
+    fn probe_distortion_gate_passes_small_and_fails_large_distortion() {
+        let cells = |ratios: &[f64]| -> Vec<CellResult> {
+            ratios
+                .iter()
+                .enumerate()
+                .map(|(i, &r)| distorted_cell(&format!("box/c{i}/seq"), "seq", r))
+                .collect()
+        };
+        let ok = cells(&[1.05, 0.98, 1.3]);
+        assert_eq!(probe_distortion(&ok), Some(1.05));
+        assert!(check_probe_distortion(&ok).is_ok());
+        let bad = cells(&[1.5, 1.5, 0.9, 1.5]);
+        assert_eq!(probe_distortion(&bad), Some(1.5));
+        let err = check_probe_distortion(&bad).unwrap_err();
+        assert!(err.contains("1.500") && err.contains("1.10"), "{err}");
+        // `par` breakdowns hold strip work time: they never count.
+        let mut par_only = cells(&[1.05]);
+        par_only.push(distorted_cell("box/haar/par", "par", 9.0));
+        assert_eq!(probe_distortion(&par_only), Some(1.05));
+        assert_eq!(probe_distortion(&[]), None);
+        assert!(check_probe_distortion(&[]).is_ok());
+    }
+
+    #[test]
+    fn profiled_ns_is_the_breakdown_root_and_optional_on_parse() {
+        let report = synthetic_report(&[("box/haar/seq", 10.0)]);
+        let text = report.to_json();
+        assert!(text.contains("\"profiled_ns\": 1000,"), "{text}");
+        let legacy = text.replace("      \"profiled_ns\": 1000,\n", "");
+        assert_eq!(BenchReport::from_json(&legacy).unwrap(), report);
+        let doctored = text.replace("\"profiled_ns\": 1000", "\"profiled_ns\": 7");
+        let err = BenchReport::from_json(&doctored).unwrap_err();
+        assert!(err.contains("profiled_ns"), "{err}");
+    }
+
+    #[test]
+    fn available_parallelism_round_trips_and_is_optional() {
+        let mut report = synthetic_report(&[("box/haar/seq", 10.0)]);
+        report.settings.available_parallelism = Some(6);
+        let text = report.to_json();
+        assert!(text.contains("\"available_parallelism\": 6,"), "{text}");
+        assert_eq!(BenchReport::from_json(&text).unwrap(), report);
+        report.settings.available_parallelism = None;
+        let legacy = report.to_json();
+        assert!(!legacy.contains("available_parallelism"));
+        assert_eq!(BenchReport::from_json(&legacy).unwrap(), report);
+        assert!(BenchSettings::quick(1).available_parallelism.unwrap_or(1) >= 1);
     }
 
     #[test]

@@ -4,10 +4,12 @@
 //! One [`CodecTelemetry`] bundle covers one codec instance (e.g. one
 //! sub-band's packer). The default bundle is a no-op, so architecture models
 //! embed it unconditionally and the hot encode path stays allocation-free
-//! when telemetry is disabled.
+//! when telemetry is disabled. Records are plain local tallies; the owner
+//! publishes them with [`CodecTelemetry::flush`] (the sliding-window
+//! datapath does so once per row).
 
 use crate::{EncodedColumn, NBITS_FIELD_BITS};
-use sw_telemetry::{Counter, Histogram, TelemetryHandle};
+use sw_telemetry::{CounterTally, HistogramTally, TelemetryHandle};
 
 /// Inclusive bucket bounds for the NBits distribution: one bucket per legal
 /// coefficient width (the 4-bit management field covers 1..=16).
@@ -16,15 +18,15 @@ pub const NBITS_BOUNDS: [u64; 16] = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 
 /// Instruments describing what one column codec packed and unpacked.
 #[derive(Debug, Clone, Default)]
 pub struct CodecTelemetry {
-    columns: Counter,
-    payload_bits: Counter,
-    payload_bytes: Counter,
-    mgmt_bits: Counter,
-    significant: Counter,
-    coefficients: Counter,
-    nbits: Histogram,
-    decoded_columns: Counter,
-    decoded_bits: Counter,
+    columns: CounterTally,
+    payload_bits: CounterTally,
+    payload_bytes: CounterTally,
+    mgmt_bits: CounterTally,
+    significant: CounterTally,
+    coefficients: CounterTally,
+    nbits: HistogramTally,
+    decoded_columns: CounterTally,
+    decoded_bits: CounterTally,
 }
 
 impl CodecTelemetry {
@@ -43,22 +45,25 @@ impl CodecTelemetry {
     /// * `<prefix>.packer.nbits` — histogram of column widths (1..=16)
     /// * `<prefix>.unpacker.columns` / `.bits` — decode traffic
     pub fn attach(telemetry: &TelemetryHandle, prefix: &str) -> Self {
+        let counter = |name: &str| telemetry.counter(&format!("{prefix}.{name}")).tally();
         Self {
-            columns: telemetry.counter(&format!("{prefix}.packer.columns")),
-            payload_bits: telemetry.counter(&format!("{prefix}.packer.payload_bits")),
-            payload_bytes: telemetry.counter(&format!("{prefix}.packer.payload_bytes")),
-            mgmt_bits: telemetry.counter(&format!("{prefix}.packer.mgmt_bits")),
-            significant: telemetry.counter(&format!("{prefix}.packer.significant")),
-            coefficients: telemetry.counter(&format!("{prefix}.packer.coefficients")),
-            nbits: telemetry.histogram(&format!("{prefix}.packer.nbits"), &NBITS_BOUNDS),
-            decoded_columns: telemetry.counter(&format!("{prefix}.unpacker.columns")),
-            decoded_bits: telemetry.counter(&format!("{prefix}.unpacker.bits")),
+            columns: counter("packer.columns"),
+            payload_bits: counter("packer.payload_bits"),
+            payload_bytes: counter("packer.payload_bytes"),
+            mgmt_bits: counter("packer.mgmt_bits"),
+            significant: counter("packer.significant"),
+            coefficients: counter("packer.coefficients"),
+            nbits: telemetry
+                .histogram(&format!("{prefix}.packer.nbits"), &NBITS_BOUNDS)
+                .tally(),
+            decoded_columns: counter("unpacker.columns"),
+            decoded_bits: counter("unpacker.bits"),
         }
     }
 
-    /// Record one encoded column.
+    /// Record one encoded column (published by the next [`Self::flush`]).
     #[inline]
-    pub fn record_encoded(&self, col: &EncodedColumn) {
+    pub fn record_encoded(&mut self, col: &EncodedColumn) {
         self.columns.inc();
         self.payload_bits.add(col.payload_bits);
         self.payload_bytes.add(col.payload.len() as u64);
@@ -69,11 +74,28 @@ impl CodecTelemetry {
         self.nbits.observe(col.nbits as u64);
     }
 
-    /// Record one decoded column.
+    /// Record one decoded column (published by the next [`Self::flush`]).
     #[inline]
-    pub fn record_decoded(&self, col: &EncodedColumn) {
+    pub fn record_decoded(&mut self, col: &EncodedColumn) {
         self.decoded_columns.inc();
         self.decoded_bits.add(col.total_bits());
+    }
+
+    /// Publish every pending record into the bound series.
+    pub fn flush(&mut self) {
+        for c in [
+            &mut self.columns,
+            &mut self.payload_bits,
+            &mut self.payload_bytes,
+            &mut self.mgmt_bits,
+            &mut self.significant,
+            &mut self.coefficients,
+            &mut self.decoded_columns,
+            &mut self.decoded_bits,
+        ] {
+            c.flush();
+        }
+        self.nbits.flush();
     }
 }
 
@@ -84,19 +106,21 @@ mod tests {
 
     #[test]
     fn noop_bundle_records_nothing() {
-        let tele = CodecTelemetry::noop();
+        let mut tele = CodecTelemetry::noop();
         tele.record_encoded(&encode_column(&[1, 2, 3, 4], 0));
+        tele.flush();
         // No registry backs the bundle; nothing to assert beyond "no panic".
     }
 
     #[test]
     fn encoded_columns_feed_every_series() {
         let t = TelemetryHandle::new();
-        let tele = CodecTelemetry::attach(&t, "band.hl");
+        let mut tele = CodecTelemetry::attach(&t, "band.hl");
         // Figure 2 HL column: width 5, all 4 coefficients significant.
         let col = encode_column(&[13, 12, -9, 7], 0);
         tele.record_encoded(&col);
         tele.record_decoded(&col);
+        tele.flush();
 
         let r = t.report();
         assert_eq!(r.counters["band.hl.packer.columns"], 1);
@@ -118,8 +142,9 @@ mod tests {
     #[test]
     fn thresholded_column_reports_reduced_density() {
         let t = TelemetryHandle::new();
-        let tele = CodecTelemetry::attach(&t, "c");
+        let mut tele = CodecTelemetry::attach(&t, "c");
         tele.record_encoded(&encode_column(&[13, 3, -2, 7], 8));
+        tele.flush();
         let r = t.report();
         assert_eq!(r.counters["c.packer.significant"], 1);
         assert_eq!(r.counters["c.packer.coefficients"], 4);

@@ -22,8 +22,9 @@ proptest! {
         let enc = encode_column(&coeffs, threshold as i16);
 
         let t = TelemetryHandle::new();
-        let tele = CodecTelemetry::attach(&t, "p");
+        let mut tele = CodecTelemetry::attach(&t, "p");
         tele.record_encoded(&enc);
+        tele.flush();
         let r = t.report();
 
         prop_assert_eq!(r.counters["p.packer.payload_bits"], cost.payload_bits);
@@ -53,7 +54,7 @@ proptest! {
         threshold in 0i32..=16,
     ) {
         let t = TelemetryHandle::new();
-        let tele = CodecTelemetry::attach(&t, "s");
+        let mut tele = CodecTelemetry::attach(&t, "s");
         let mut expect_payload_bits = 0u64;
         let mut expect_payload_bytes = 0u64;
         let mut expect_mgmt_bits = 0u64;
@@ -65,6 +66,7 @@ proptest! {
             expect_mgmt_bits += cost.bitmap_bits + cost.nbits_bits;
             tele.record_encoded(&encode_column(&coeffs, threshold as i16));
         }
+        tele.flush();
         let r = t.report();
         prop_assert_eq!(r.counters["s.packer.columns"], columns.len() as u64);
         prop_assert_eq!(r.counters["s.packer.payload_bits"], expect_payload_bits);

@@ -34,8 +34,8 @@
 //! unchecked historical behaviour.
 
 use crate::codec::{
-    HaarIwtCodec, HaarTwoLevelCodec, LeGall53Codec, LineCodec, LineCodecKind, LocoIPredictiveCodec,
-    RawCodec,
+    EncodedGroup, HaarIwtCodec, HaarTwoLevelCodec, LeGall53Codec, LineCodec, LineCodecKind,
+    LocoIPredictiveCodec, RawCodec,
 };
 use crate::config::ArchConfig;
 use crate::error::{Result, SwError};
@@ -49,7 +49,9 @@ use std::time::Instant;
 use sw_bitstream::Sample;
 use sw_fpga::sim::Watermark;
 use sw_image::ImageU8;
-use sw_telemetry::{Counter, Gauge, Histogram, TelemetryHandle, TraceEvent, TraceKind};
+use sw_telemetry::{
+    Counter, CounterTally, Gauge, HistogramTally, TelemetryHandle, TraceEvent, TraceKind,
+};
 
 /// Inclusive histogram bounds splitting `[1, max]` into eighths
 /// (deduplicated for tiny ranges). Shared shape for occupancy histograms.
@@ -208,19 +210,76 @@ pub trait SlidingWindowArch {
     fn set_fault_injector(&mut self, faults: Option<FaultInjector>);
 }
 
-/// Wall-time accumulators for the encode/decode stages of one frame.
+/// The profiler times one encode and one decode group in this many
+/// (always the first of a frame); call counts stay exact.
+const PROFILE_STRIDE: u64 = 64;
+
+/// Sampled wall time of one datapath stage over one frame.
+#[derive(Debug, Clone, Copy, Default)]
+struct StageProf {
+    calls: u64,
+    sampled: u64,
+    sampled_ns: u64,
+}
+
+impl StageProf {
+    /// Whether the next call is one the profiler times.
+    #[inline]
+    fn samples_next(&self) -> bool {
+        self.calls.is_multiple_of(PROFILE_STRIDE)
+    }
+
+    /// Count one call; `t0` is its start when it was timed.
+    #[inline]
+    fn record(&mut self, t0: Option<Instant>) {
+        self.calls += 1;
+        if let Some(t0) = t0 {
+            self.sampled += 1;
+            self.sampled_ns += elapsed_ns(t0);
+        }
+    }
+
+    /// The sampled time scaled by calls ÷ sampled.
+    fn estimate_ns(&self) -> u64 {
+        if self.sampled == 0 {
+            return 0;
+        }
+        let ns = u128::from(self.sampled_ns) * u128::from(self.calls) / u128::from(self.sampled);
+        u64::try_from(ns).unwrap_or(u64::MAX)
+    }
+}
+
+/// Profiler accumulators for one frame: sampled encode/decode times and
+/// the wall time of the rows they ran in (one clock pair per row).
 #[derive(Debug, Clone, Copy, Default)]
 struct FrameProf {
-    encode_ns: u64,
-    encode_calls: u64,
-    decode_ns: u64,
-    decode_calls: u64,
+    encode: StageProf,
+    decode: StageProf,
+    rows_ns: u64,
 }
 
 impl FrameProf {
     fn clear(&mut self) {
         *self = Self::default();
     }
+
+    /// Estimated `(encode, decode)` nanoseconds, scaled down together
+    /// when they would exceed the rows' wall time, so the enclosing span's
+    /// self time never goes negative.
+    fn estimates_ns(&self) -> (u64, u64) {
+        let (enc, dec) = (self.encode.estimate_ns(), self.decode.estimate_ns());
+        let sum = u128::from(enc) + u128::from(dec);
+        if sum <= u128::from(self.rows_ns) {
+            return (enc, dec);
+        }
+        let enc = u128::from(enc) * u128::from(self.rows_ns) / sum;
+        let enc = u64::try_from(enc).unwrap_or(u64::MAX);
+        (enc, self.rows_ns - enc)
+    }
+}
+
+fn elapsed_ns(t0: Instant) -> u64 {
+    u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
 /// In-flight state of a row-streamed frame between
@@ -295,22 +354,24 @@ pub struct SlidingWindow<C: LineCodec> {
     evicted: Vec<Pixel>,
     /// Open row-streamed frame, if any ([`Self::begin_frame`]).
     stream: Option<StreamFrame>,
-    /// Per-frame wall-time accumulators for the hierarchical profiler
-    /// (encode/decode aggregates flushed once per frame, so the per-group
-    /// hot path costs two `Instant::now` reads when telemetry is enabled
-    /// and nothing when it is disabled).
+    /// Per-frame accumulators for the hierarchical profiler (sampled
+    /// encode/decode times, recorded once per frame).
     prof: FrameProf,
     // --- telemetry (no-ops unless a telemetry handle was bound) ---
+    // Per-group records are local tallies and a trace buffer, published
+    // at the end of every row (`publish_row`).
     telemetry: TelemetryHandle,
     bound_name: Option<String>,
     m_cycles: Counter,
     m_window_shifts: Counter,
-    m_iwt_pairs: Counter,
-    m_unpack_pairs: Counter,
-    m_overflow: Counter,
+    m_iwt_pairs: CounterTally,
+    m_unpack_pairs: CounterTally,
+    m_overflow: CounterTally,
     m_threshold: Gauge,
-    occ_hist: Histogram,
+    occ_hist: HistogramTally,
     occ_gauge: Gauge,
+    /// In-row trace events, in emission order.
+    row_events: Vec<TraceEvent>,
 }
 
 impl<C: LineCodec> std::fmt::Debug for SlidingWindow<C> {
@@ -364,6 +425,7 @@ where
             m_threshold: self.m_threshold.clone(),
             occ_hist: self.occ_hist.clone(),
             occ_gauge: self.occ_gauge.clone(),
+            row_events: self.row_events.clone(),
         }
     }
 }
@@ -414,12 +476,13 @@ impl<C: LineCodec> SlidingWindow<C> {
             bound_name: None,
             m_cycles: Counter::noop(),
             m_window_shifts: Counter::noop(),
-            m_iwt_pairs: Counter::noop(),
-            m_unpack_pairs: Counter::noop(),
-            m_overflow: Counter::noop(),
+            m_iwt_pairs: CounterTally::default(),
+            m_unpack_pairs: CounterTally::default(),
+            m_overflow: CounterTally::default(),
             m_threshold: Gauge::noop(),
-            occ_hist: Histogram::noop(),
+            occ_hist: HistogramTally::default(),
             occ_gauge: Gauge::noop(),
+            row_events: Vec::new(),
         }
     }
 
@@ -473,7 +536,9 @@ impl<C: LineCodec> SlidingWindow<C> {
     /// pairs, overflow events, threshold, codec traffic) and
     /// `fifo.<name>.*` (memory-unit occupancy histogram and high-water
     /// mark, in bits). A configured [`MemoryUnit`] additionally registers
-    /// `memunit.<name>.*`.
+    /// `memunit.<name>.*`. Per-group records stay local until the end of
+    /// each [`push_row`](Self::push_row), which publishes them (and the
+    /// row's trace events, in order) once.
     pub fn with_named_telemetry(mut self, telemetry: &TelemetryHandle, name: &str) -> Self {
         self.bind(telemetry, name);
         self
@@ -483,16 +548,20 @@ impl<C: LineCodec> SlidingWindow<C> {
         self.m_cycles = telemetry.counter(&format!("stage.{name}.cycles"));
         self.m_window_shifts = telemetry.counter(&format!("stage.{name}.window_shifts"));
         if self.kind != LineCodecKind::Raw {
-            self.m_iwt_pairs = telemetry.counter(&format!("stage.{name}.iwt_pairs"));
-            self.m_unpack_pairs = telemetry.counter(&format!("stage.{name}.unpack_pairs"));
-            self.m_overflow = telemetry.counter(&format!("stage.{name}.overflow_events"));
+            let counter =
+                |series: &str| telemetry.counter(&format!("stage.{name}.{series}")).tally();
+            self.m_iwt_pairs = counter("iwt_pairs");
+            self.m_unpack_pairs = counter("unpack_pairs");
+            self.m_overflow = counter("overflow_events");
             self.m_threshold = telemetry.gauge(&format!("stage.{name}.threshold"));
             self.m_threshold.set(self.cfg.threshold.max(0) as u64);
         }
-        self.occ_hist = telemetry.histogram(
-            &format!("fifo.{name}.occupancy_bits"),
-            &occupancy_bounds(self.kind.raw_span_bits(&self.cfg).max(1)),
-        );
+        self.occ_hist = telemetry
+            .histogram(
+                &format!("fifo.{name}.occupancy_bits"),
+                &occupancy_bounds(self.kind.raw_span_bits(&self.cfg).max(1)),
+            )
+            .tally();
         self.occ_gauge = telemetry.gauge(&format!("fifo.{name}.high_water_bits"));
         if self.kind != LineCodecKind::Raw {
             self.codec
@@ -603,7 +672,43 @@ impl<C: LineCodec> SlidingWindow<C> {
     /// propagate exactly as from
     /// [`process_frame`](Self::process_frame). Any error aborts the
     /// stream: subsequent calls fail until a new `begin_frame`.
+    ///
+    /// Telemetry recorded during the row — also when it fails — is
+    /// published before this returns.
     pub fn push_row(&mut self, row: &[Pixel], kernel: &dyn WindowKernel) -> Result<()> {
+        let t0 = self.telemetry.is_enabled().then(Instant::now);
+        let pushed = self.stream_row(row, kernel);
+        if let Some(t0) = t0 {
+            self.prof.rows_ns += elapsed_ns(t0);
+        }
+        self.publish_row();
+        pushed
+    }
+
+    /// Publish the row's telemetry: tallies, codec and memory-unit
+    /// records, and the buffered trace events in order.
+    fn publish_row(&mut self) {
+        self.m_iwt_pairs.flush();
+        self.m_unpack_pairs.flush();
+        self.m_overflow.flush();
+        self.occ_hist.flush();
+        self.occ_gauge.observe_max(self.occupancy_watermark.max());
+        self.codec.flush_telemetry();
+        if let Some(mu) = self.memory_unit.as_mut() {
+            mu.flush_telemetry();
+        }
+        self.telemetry.trace_batch(&mut self.row_events);
+    }
+
+    /// Stage an in-row trace event (published with the row).
+    #[inline]
+    fn trace(&mut self, event: TraceEvent) {
+        if self.telemetry.is_enabled() {
+            self.row_events.push(event);
+        }
+    }
+
+    fn stream_row(&mut self, row: &[Pixel], kernel: &dyn WindowKernel) -> Result<()> {
         let n = self.cfg.window;
         let Some(mut st) = self.stream.take() else {
             return Err(SwError::config(
@@ -703,14 +808,16 @@ impl<C: LineCodec> SlidingWindow<C> {
 
         // Flush the per-frame stage aggregates while any enclosing frame
         // span is still open, so they land under "frame/…" in the span
-        // tree when driven by `process_frame`.
-        if self.prof.encode_calls > 0 {
+        // tree when driven by `process_frame`. The times are sampled
+        // estimates (`PROFILE_STRIDE`), the call counts exact.
+        let (encode_ns, decode_ns) = self.prof.estimates_ns();
+        if self.prof.encode.calls > 0 {
             self.telemetry
-                .profile_record("encode", self.prof.encode_ns, self.prof.encode_calls);
+                .profile_record("encode", encode_ns, self.prof.encode.calls);
         }
-        if self.prof.decode_calls > 0 {
+        if self.prof.decode.calls > 0 {
             self.telemetry
-                .profile_record("decode", self.prof.decode_ns, self.prof.decode_calls);
+                .profile_record("decode", decode_ns, self.prof.decode.calls);
         }
 
         let management_bits = self.kind.management_bits(&self.cfg);
@@ -743,7 +850,8 @@ impl<C: LineCodec> SlidingWindow<C> {
     /// Encode the staged group, resolve the memory unit's overflow policy
     /// and push the result into the in-flight queue.
     fn push_group(&mut self, cycle: u64) -> Result<()> {
-        let t0 = self.telemetry.is_enabled().then(Instant::now);
+        let t0 =
+            (self.telemetry.is_enabled() && self.prof.encode.samples_next()).then(Instant::now);
         let first_exit = cycle + 1 - self.group as u64;
         let recycled = self.spare_encoded.pop();
         let mut encoded = self.codec.encode_group_reuse(&self.staging, recycled);
@@ -751,50 +859,10 @@ impl<C: LineCodec> SlidingWindow<C> {
 
         // Capacity policy: resolve before the per-band accounting so the
         // statistics describe the encoding that is actually stored.
-        if let Some(mu) = self.memory_unit.as_mut() {
-            if let Some(mut deficit) = mu.deficit(encoded.payload_bits) {
-                match mu.policy() {
-                    OverflowPolicy::Fail => {
-                        return Err(mu.overflow_error(encoded.payload_bits));
-                    }
-                    OverflowPolicy::Stall => {
-                        // Hardware would hold the pipeline until readout
-                        // frees space; the model charges the drain time
-                        // and stores the group.
-                        let stall_cycles = mu.record_stall(deficit);
-                        self.telemetry.trace(TraceEvent::new(
-                            first_exit,
-                            TraceKind::Stall,
-                            stall_cycles,
-                            deficit,
-                        ));
-                    }
-                    OverflowPolicy::DegradeLossy => {
-                        let max_t = mu.config().max_threshold;
-                        while deficit > 0
-                            && self.kind.is_lossy_capable()
-                            && self.cfg.threshold < max_t
-                        {
-                            self.cfg.threshold += 1;
-                            self.codec = C::new(&self.cfg);
-                            if let Some(name) = &self.bound_name {
-                                if self.kind != LineCodecKind::Raw {
-                                    self.codec
-                                        .bind_telemetry(&self.telemetry, &format!("stage.{name}"));
-                                }
-                            }
-                            self.m_threshold.set(self.cfg.threshold.max(0) as u64);
-                            let prev = encoded.data;
-                            encoded = self.codec.encode_group_reuse(&self.staging, Some(prev));
-                            mu.record_escalation();
-                            deficit = mu.deficit(encoded.payload_bits).unwrap_or(0);
-                        }
-                        if deficit > 0 {
-                            mu.record_overflow();
-                        }
-                    }
-                }
-            }
+        if let Some(mut mu) = self.memory_unit.take() {
+            let resolved = self.resolve_overflow(&mut mu, encoded, first_exit);
+            self.memory_unit = Some(mu);
+            encoded = resolved?;
         }
 
         for (slot, bits) in self.per_band_bits.iter_mut().zip(encoded.per_band_bits) {
@@ -818,7 +886,7 @@ impl<C: LineCodec> SlidingWindow<C> {
                 self.overflow_events += 1;
                 self.m_overflow.inc();
                 if self.kind != LineCodecKind::Raw {
-                    self.telemetry.trace(TraceEvent::new(
+                    self.trace(TraceEvent::new(
                         first_exit,
                         TraceKind::Overflow,
                         self.payload_occupancy + bits,
@@ -834,9 +902,8 @@ impl<C: LineCodec> SlidingWindow<C> {
         self.payload_occupancy += bits;
         self.occupancy_watermark.observe(self.payload_occupancy);
         self.occ_hist.observe(self.payload_occupancy);
-        self.occ_gauge.observe_max(self.payload_occupancy);
         if self.kind != LineCodecKind::Raw {
-            self.telemetry.trace(TraceEvent::new(
+            self.trace(TraceEvent::new(
                 first_exit,
                 TraceKind::Pack,
                 bits,
@@ -848,11 +915,67 @@ impl<C: LineCodec> SlidingWindow<C> {
             payload_bits: bits,
             data: encoded.data,
         });
-        if let Some(t0) = t0 {
-            self.prof.encode_ns += u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            self.prof.encode_calls += 1;
-        }
+        self.prof.encode.record(t0);
         Ok(())
+    }
+
+    /// Apply the memory unit's overflow policy when `encoded` would
+    /// exceed its budget; returns the encoding to store.
+    fn resolve_overflow(
+        &mut self,
+        mu: &mut MemoryUnit,
+        mut encoded: EncodedGroup<C::Encoded>,
+        first_exit: u64,
+    ) -> Result<EncodedGroup<C::Encoded>> {
+        let Some(mut deficit) = mu.deficit(encoded.payload_bits) else {
+            return Ok(encoded);
+        };
+        match mu.policy() {
+            OverflowPolicy::Fail => return Err(mu.overflow_error(encoded.payload_bits)),
+            OverflowPolicy::Stall => {
+                // Hardware would hold the pipeline until readout frees
+                // space; the model charges the drain time and stores the
+                // group.
+                let stall_cycles = mu.record_stall(deficit);
+                self.trace(TraceEvent::new(
+                    first_exit,
+                    TraceKind::Stall,
+                    stall_cycles,
+                    deficit,
+                ));
+            }
+            OverflowPolicy::DegradeLossy => {
+                let max_t = mu.config().max_threshold;
+                while deficit > 0 && self.kind.is_lossy_capable() && self.cfg.threshold < max_t {
+                    self.cfg.threshold += 1;
+                    self.rebuild_codec();
+                    encoded = self
+                        .codec
+                        .encode_group_reuse(&self.staging, Some(encoded.data));
+                    mu.record_escalation();
+                    deficit = mu.deficit(encoded.payload_bits).unwrap_or(0);
+                }
+                if deficit > 0 {
+                    mu.record_overflow();
+                }
+            }
+        }
+        Ok(encoded)
+    }
+
+    /// Rebuild the codec for the current threshold (codecs capture it at
+    /// construction): publish the old codec's telemetry, re-bind the new
+    /// one and update the threshold gauge.
+    fn rebuild_codec(&mut self) {
+        self.codec.flush_telemetry();
+        self.codec = C::new(&self.cfg);
+        if self.kind != LineCodecKind::Raw {
+            if let Some(name) = &self.bound_name {
+                self.codec
+                    .bind_telemetry(&self.telemetry, &format!("stage.{name}"));
+            }
+        }
+        self.m_threshold.set(self.cfg.threshold.max(0) as u64);
     }
 
     /// Deliver the decoded raw column with exit tag `tag`, if it exists.
@@ -883,10 +1006,11 @@ impl<C: LineCodec> SlidingWindow<C> {
         let Some(entry) = self.queue.pop_front() else {
             return Ok(None);
         };
-        let t0 = self.telemetry.is_enabled().then(Instant::now);
+        let t0 =
+            (self.telemetry.is_enabled() && self.prof.decode.samples_next()).then(Instant::now);
         self.m_unpack_pairs.inc();
         if self.kind != LineCodecKind::Raw {
-            self.telemetry.trace(TraceEvent::new(
+            self.trace(TraceEvent::new(
                 tag,
                 TraceKind::Unpack,
                 entry.payload_bits,
@@ -929,10 +1053,7 @@ impl<C: LineCodec> SlidingWindow<C> {
         } else {
             self.carry_bits = entry.payload_bits;
         }
-        if let Some(t0) = t0 {
-            self.prof.decode_ns += u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            self.prof.decode_calls += 1;
-        }
+        self.prof.decode.record(t0);
         Ok(Some(first))
     }
 
@@ -951,7 +1072,7 @@ impl<C: LineCodec> SlidingWindow<C> {
         }
         self.payload_occupancy -= bits;
         if self.kind != LineCodecKind::Raw {
-            self.telemetry.trace(TraceEvent::new(
+            self.trace(TraceEvent::new(
                 tag,
                 TraceKind::FifoPop,
                 self.payload_occupancy,
@@ -969,14 +1090,7 @@ impl<C: LineCodec> SlidingWindow<C> {
         self.window.clear();
         if self.cfg.threshold != self.base_threshold {
             self.cfg.threshold = self.base_threshold;
-            self.codec = C::new(&self.cfg);
-            self.m_threshold.set(self.base_threshold.max(0) as u64);
-            if self.kind != LineCodecKind::Raw {
-                if let Some(name) = self.bound_name.clone() {
-                    self.codec
-                        .bind_telemetry(&self.telemetry, &format!("stage.{name}"));
-                }
-            }
+            self.rebuild_codec();
         }
         self.codec.reset();
         self.staged = 0;
@@ -1035,16 +1149,7 @@ impl<C: LineCodec> SlidingWindowArch for SlidingWindow<C> {
         assert!(t >= 0, "threshold must be non-negative");
         self.cfg.threshold = t;
         self.base_threshold = t;
-        // Codecs capture the threshold at construction: rebuild, and
-        // re-bind codec telemetry if instruments are attached.
-        self.codec = C::new(&self.cfg);
-        self.m_threshold.set(t.max(0) as u64);
-        if self.kind != LineCodecKind::Raw {
-            if let Some(name) = self.bound_name.clone() {
-                self.codec
-                    .bind_telemetry(&self.telemetry, &format!("stage.{name}"));
-            }
-        }
+        self.rebuild_codec();
     }
 
     fn set_memory_unit(&mut self, cfg: Option<MemoryUnitConfig>) {

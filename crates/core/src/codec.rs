@@ -238,6 +238,10 @@ pub trait LineCodec {
 
     /// Attach per-codec telemetry under `prefix` (e.g. `stage.s0`).
     fn bind_telemetry(&mut self, _telemetry: &TelemetryHandle, _prefix: &str) {}
+
+    /// Publish the telemetry recorded since the last flush. The datapath
+    /// calls this at the end of every row and before it drops the codec.
+    fn flush_telemetry(&mut self) {}
 }
 
 /// Flip one bit of an [`EncodedColumn`] at the requested fault site.
@@ -565,6 +569,10 @@ impl LineCodec for HaarIwtCodec {
 
     fn bind_telemetry(&mut self, telemetry: &TelemetryHandle, prefix: &str) {
         self.codec = CodecTelemetry::attach(telemetry, prefix);
+    }
+
+    fn flush_telemetry(&mut self) {
+        self.codec.flush();
     }
 }
 
@@ -917,6 +925,10 @@ impl LineCodec for HaarTwoLevelCodec {
     fn bind_telemetry(&mut self, telemetry: &TelemetryHandle, prefix: &str) {
         self.codec = CodecTelemetry::attach(telemetry, prefix);
     }
+
+    fn flush_telemetry(&mut self) {
+        self.codec.flush();
+    }
 }
 
 /// LeGall 5/3 over single columns: each evicted column splits into a
@@ -1063,6 +1075,10 @@ impl LineCodec for LeGall53Codec {
 
     fn bind_telemetry(&mut self, telemetry: &TelemetryHandle, prefix: &str) {
         self.codec = CodecTelemetry::attach(telemetry, prefix);
+    }
+
+    fn flush_telemetry(&mut self) {
+        self.codec.flush();
     }
 }
 

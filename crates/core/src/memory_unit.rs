@@ -38,7 +38,7 @@ use sw_fpga::bram_fifo::BramFifo;
 use sw_fpga::fifo::FifoError;
 use sw_fpga::sim::Watermark;
 use sw_image::ImageU8;
-use sw_telemetry::{Counter, Gauge, TelemetryHandle};
+use sw_telemetry::{CounterTally, Gauge, TelemetryHandle};
 
 /// Memory-unit word width: the 512×36 BRAM18 aspect ratio the packed
 /// stream is stored in.
@@ -175,12 +175,14 @@ pub struct MemoryUnit {
     stall_cycles: u64,
     escalations: u64,
     overflow_events: u64,
-    // Telemetry — no-ops unless bound.
+    // Telemetry — no-ops unless bound; published by `flush_telemetry`.
     m_occ: Gauge,
     m_high: Gauge,
-    m_stalls: Counter,
-    m_escalations: Counter,
-    m_overflow: Counter,
+    /// Occupancy changed since the last flush.
+    occ_dirty: bool,
+    m_stalls: CounterTally,
+    m_escalations: CounterTally,
+    m_overflow: CounterTally,
 }
 
 impl MemoryUnit {
@@ -203,19 +205,38 @@ impl MemoryUnit {
             overflow_events: 0,
             m_occ: Gauge::noop(),
             m_high: Gauge::noop(),
-            m_stalls: Counter::noop(),
-            m_escalations: Counter::noop(),
-            m_overflow: Counter::noop(),
+            occ_dirty: false,
+            m_stalls: CounterTally::default(),
+            m_escalations: CounterTally::default(),
+            m_overflow: CounterTally::default(),
         }
     }
 
-    /// Bind instruments under `memunit.<name>.*`.
+    /// Bind instruments under `memunit.<name>.*`. Records are local
+    /// until [`Self::flush_telemetry`].
     pub(crate) fn bind_telemetry(&mut self, telemetry: &TelemetryHandle, name: &str) {
         self.m_occ = telemetry.gauge(&format!("memunit.{name}.occupancy_bits"));
         self.m_high = telemetry.gauge(&format!("memunit.{name}.high_water_bits"));
-        self.m_stalls = telemetry.counter(&format!("memunit.{name}.stall_cycles"));
-        self.m_escalations = telemetry.counter(&format!("memunit.{name}.escalations"));
-        self.m_overflow = telemetry.counter(&format!("memunit.{name}.overflow_events"));
+        let counter = |series: &str| {
+            telemetry
+                .counter(&format!("memunit.{name}.{series}"))
+                .tally()
+        };
+        self.m_stalls = counter("stall_cycles");
+        self.m_escalations = counter("escalations");
+        self.m_overflow = counter("overflow_events");
+    }
+
+    /// Publish the records made since the last flush (the datapath calls
+    /// this at the end of every row).
+    pub(crate) fn flush_telemetry(&mut self) {
+        if std::mem::take(&mut self.occ_dirty) {
+            self.m_occ.set(self.occupancy_bits);
+            self.m_high.observe_max(self.watermark.max());
+        }
+        self.m_stalls.flush();
+        self.m_escalations.flush();
+        self.m_overflow.flush();
     }
 
     /// The unit's configuration.
@@ -328,8 +349,7 @@ impl MemoryUnit {
         self.push_seq += 1;
         self.occupancy_bits += bits;
         self.watermark.observe(self.occupancy_bits);
-        self.m_occ.set(self.occupancy_bits);
-        self.m_high.observe_max(self.occupancy_bits);
+        self.occ_dirty = true;
     }
 
     /// Retire the oldest group: pop its words back out of the BRAMs and
@@ -354,7 +374,7 @@ impl MemoryUnit {
         }
         self.retire_seq += 1;
         self.occupancy_bits -= g.bits;
-        self.m_occ.set(self.occupancy_bits);
+        self.occ_dirty = true;
         Ok(())
     }
 
@@ -483,6 +503,7 @@ mod tests {
         mu.record_stall(10);
         mu.record_escalation();
         mu.record_overflow();
+        mu.flush_telemetry();
         let r = t.report();
         assert_eq!(r.gauges["memunit.s0.occupancy_bits"], 100);
         assert_eq!(r.gauges["memunit.s0.high_water_bits"], 100);

@@ -5,7 +5,9 @@
 //! every layer of the stack one way to surface those signals:
 //!
 //! * [`MetricsRegistry`] — named [`Counter`]s, [`Gauge`]s and fixed-bucket
-//!   [`Histogram`]s with atomic backends, safe to share across threads.
+//!   [`Histogram`]s with atomic backends, safe to share across threads;
+//!   [`CounterTally`] / [`HistogramTally`] accumulate locally and publish
+//!   into them in one flush.
 //! * [`SpanProfiler`] / [`ProfileSpan`] — hierarchical spans with parent /
 //!   child nesting on a thread-local stack, self-time vs child-time
 //!   attribution, log₂-bucketed duration percentiles, and a flame-style
@@ -46,7 +48,7 @@ pub mod profile;
 pub mod report;
 pub mod trace;
 
-pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry};
+pub use metrics::{Counter, CounterTally, Gauge, Histogram, HistogramTally, MetricsRegistry};
 pub use profile::{PathProfile, ProfileSnapshot, ProfileSpan, SpanProfiler};
 pub use report::{prometheus_series, HistogramSnapshot, Report};
 pub use trace::{TraceEvent, TraceKind, TraceRing};
@@ -173,6 +175,22 @@ impl TelemetryHandle {
     pub fn trace(&self, event: TraceEvent) {
         if let Some(i) = &self.inner {
             i.trace.lock().expect("trace lock").push(event);
+        }
+    }
+
+    /// Move a batch of trace events into the ring, in order, under one
+    /// lock; `events` is left empty (also when disabled).
+    pub fn trace_batch(&self, events: &mut Vec<TraceEvent>) {
+        if events.is_empty() {
+            return;
+        }
+        if let Some(i) = &self.inner {
+            let mut ring = i.trace.lock().expect("trace lock");
+            for event in events.drain(..) {
+                ring.push(event);
+            }
+        } else {
+            events.clear();
         }
     }
 
@@ -321,6 +339,29 @@ mod tests {
         let doc = json::parse(&String::from_utf8(buf).unwrap()).unwrap();
         let obj = doc.as_obj().unwrap();
         assert_eq!(obj["traceEvents"].as_arr().unwrap().len(), n);
+    }
+
+    #[test]
+    fn trace_batch_appends_in_order_and_drains() {
+        let t = TelemetryHandle::with_trace_capacity(3);
+        t.trace(TraceEvent::new(0, TraceKind::FrameStart, 8, 8));
+        let mut batch: Vec<_> = (1..=3)
+            .map(|c| TraceEvent::new(c, TraceKind::Pack, c, 0))
+            .collect();
+        t.trace_batch(&mut batch);
+        assert!(batch.is_empty());
+        assert_eq!(t.trace_len(), 3);
+        assert_eq!(t.trace_dropped(), 1, "the ring overwrote FrameStart");
+        let mut buf = Vec::new();
+        t.write_trace_jsonl(&mut buf).unwrap();
+        let text = String::from_utf8(buf).unwrap();
+        assert!(text.lines().next().unwrap().contains("\"cycle\":1"));
+
+        let d = TelemetryHandle::disabled();
+        batch.push(TraceEvent::new(4, TraceKind::Pack, 4, 0));
+        d.trace_batch(&mut batch);
+        assert!(batch.is_empty());
+        assert_eq!(d.trace_len(), 0);
     }
 
     #[test]

@@ -5,6 +5,11 @@
 //! them unconditionally. Enabled instruments share `Arc`ed atomic cells
 //! with the registry, so cloning an instrument or the handle is free and
 //! all clones feed the same series.
+//!
+//! A hot loop that records many times per published sample takes a
+//! *tally* instead ([`Counter::tally`], [`Histogram::tally`]): plain,
+//! unshared accumulators that publish into the instrument on `flush`, so
+//! the loop pays one atomic per flush rather than one per record.
 
 use crate::report::{HistogramSnapshot, Report};
 use std::collections::BTreeMap;
@@ -38,6 +43,43 @@ impl Counter {
     /// Current value (0 when no-op).
     pub fn get(&self) -> u64 {
         self.0.as_ref().map_or(0, |c| c.load(Ordering::Relaxed))
+    }
+
+    /// A local accumulator publishing into this counter on
+    /// [`CounterTally::flush`].
+    pub fn tally(&self) -> CounterTally {
+        CounterTally {
+            target: self.clone(),
+            pending: 0,
+        }
+    }
+}
+
+/// Plain increments pending for one [`Counter`]; see [`Counter::tally`].
+#[derive(Debug, Clone, Default)]
+pub struct CounterTally {
+    target: Counter,
+    pending: u64,
+}
+
+impl CounterTally {
+    /// Increment by one.
+    #[inline]
+    pub fn inc(&mut self) {
+        self.pending += 1;
+    }
+
+    /// Increment by `n`.
+    #[inline]
+    pub fn add(&mut self, n: u64) {
+        self.pending += n;
+    }
+
+    /// Publish the pending increments into the counter.
+    pub fn flush(&mut self) {
+        if self.pending > 0 {
+            self.target.add(std::mem::take(&mut self.pending));
+        }
     }
 }
 
@@ -126,6 +168,11 @@ impl HistogramCell {
         }
     }
 
+    /// Index of the bucket `v` falls in.
+    fn bucket(&self, v: u64) -> usize {
+        self.bounds.partition_point(|&b| b < v)
+    }
+
     fn snapshot(&self) -> HistogramSnapshot {
         HistogramSnapshot {
             bounds: self.bounds.clone(),
@@ -156,8 +203,7 @@ impl Histogram {
     #[inline]
     pub fn observe(&self, v: u64) {
         if let Some(h) = &self.0 {
-            let idx = h.bounds.partition_point(|&b| b < v);
-            h.counts[idx].fetch_add(1, Ordering::Relaxed);
+            h.counts[h.bucket(v)].fetch_add(1, Ordering::Relaxed);
             h.count.fetch_add(1, Ordering::Relaxed);
             h.sum.fetch_add(v, Ordering::Relaxed);
             h.max.fetch_max(v, Ordering::Relaxed);
@@ -181,6 +227,65 @@ impl Histogram {
         self.0
             .as_ref()
             .map_or_else(HistogramSnapshot::default, |h| h.snapshot())
+    }
+
+    /// A local accumulator publishing into this histogram on
+    /// [`HistogramTally::flush`]. The tally of a no-op histogram records
+    /// nothing.
+    pub fn tally(&self) -> HistogramTally {
+        HistogramTally {
+            counts: self
+                .0
+                .as_ref()
+                .map_or_else(Vec::new, |h| vec![0; h.counts.len()]),
+            target: self.clone(),
+            count: 0,
+            sum: 0,
+            max: 0,
+        }
+    }
+}
+
+/// Plain bucket counts, count, sum and max pending for one
+/// [`Histogram`]; see [`Histogram::tally`].
+#[derive(Debug, Clone, Default)]
+pub struct HistogramTally {
+    target: Histogram,
+    counts: Vec<u64>,
+    count: u64,
+    sum: u64,
+    max: u64,
+}
+
+impl HistogramTally {
+    /// Record one observation.
+    #[inline]
+    pub fn observe(&mut self, v: u64) {
+        if let Some(h) = &self.target.0 {
+            self.counts[h.bucket(v)] += 1;
+            self.count += 1;
+            self.sum += v;
+            self.max = self.max.max(v);
+        }
+    }
+
+    /// Publish the pending observations into the histogram.
+    pub fn flush(&mut self) {
+        let Some(h) = &self.target.0 else { return };
+        if self.count == 0 {
+            return;
+        }
+        for (cell, pending) in h.counts.iter().zip(&mut self.counts) {
+            if *pending > 0 {
+                cell.fetch_add(std::mem::take(pending), Ordering::Relaxed);
+            }
+        }
+        h.count
+            .fetch_add(std::mem::take(&mut self.count), Ordering::Relaxed);
+        h.sum
+            .fetch_add(std::mem::take(&mut self.sum), Ordering::Relaxed);
+        h.max
+            .fetch_max(std::mem::take(&mut self.max), Ordering::Relaxed);
     }
 }
 
@@ -346,6 +451,32 @@ mod tests {
         assert_eq!(s.count, 6);
         assert_eq!(s.max, 5000);
         assert_eq!(s.sum, 5222); // 0 + 10 + 11 + 100 + 101 + 5000
+    }
+
+    #[test]
+    fn tallies_publish_exactly_what_direct_records_would() {
+        let direct = MetricsRegistry::new();
+        let tallied = MetricsRegistry::new();
+        let mut c = tallied.counter("c").tally();
+        let mut h = tallied.histogram("h", &[10, 100]).tally();
+        for v in [0, 10, 11, 100, 101, 5000] {
+            direct.counter("c").add(v);
+            direct.histogram("h", &[10, 100]).observe(v);
+            c.add(v);
+            h.observe(v);
+        }
+        assert_eq!(tallied.counter("c").get(), 0, "nothing until a flush");
+        assert_eq!(tallied.histogram("h", &[10, 100]).count(), 0);
+        c.flush();
+        h.flush();
+        assert_eq!(tallied.snapshot(), direct.snapshot());
+        // A second flush publishes nothing twice.
+        c.flush();
+        h.flush();
+        assert_eq!(tallied.snapshot(), direct.snapshot());
+        let mut noop = Histogram::noop().tally();
+        noop.observe(7);
+        noop.flush();
     }
 
     #[test]

@@ -145,7 +145,10 @@ swc bench runs the kernel x codec performance matrix (sequential and
 halo-sharded on --jobs threads) and prints a throughput table. --json
 writes the machine-readable trajectory (schema swc-bench-v1) to --out
 FILE, default BENCH_<date>.json; --quick uses a reduced frame for CI
-smoke runs. 'swc bench --compare BASE.json NEW.json' diffs two
+smoke runs. Each cell's breakdown comes from the fastest of 3 profiled
+frames; a full run exits non-zero when the median profiled/p50 ratio
+over sequential cells exceeds 1.10 (--quick prints it without gating).
+'swc bench --compare BASE.json NEW.json' diffs two
 trajectories and exits non-zero when any cell's throughput drops more
 than --max-loss PCT (default 10) — --warn-only reports the same diff but
 always exits 0.";
@@ -458,10 +461,13 @@ fn bench(args: &[String]) -> Result<(), String> {
         Workload::Window => perf::run_matrix(&settings, &perf::utc_date_string())?,
         Workload::Integral => perf::run_integral_matrix(&settings, &perf::utc_date_string())?,
     };
-    println!("cell                       Mpix/s      p50 ms      p99 ms    KB packed");
+    println!("cell                       Mpix/s      p50 ms      p99 ms    KB packed  prof/p50");
     for c in &report.cells {
+        let prof = c
+            .profiled_per_p50()
+            .map_or_else(|| "-".to_string(), |r| format!("{r:.2}"));
         println!(
-            "{:<22} {:>10.3} {:>11.3} {:>11.3} {:>12.1}",
+            "{:<22} {:>10.3} {:>11.3} {:>11.3} {:>12.1} {prof:>9}",
             c.cell,
             c.mpix_per_s,
             c.p50_ns as f64 / 1e6,
@@ -475,6 +481,22 @@ fn bench(args: &[String]) -> Result<(), String> {
         std::fs::write(&path, report.to_json())
             .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
         println!("wrote bench trajectory: {}", path.display());
+    }
+    // Probe distortion: a quick run's two small frames cannot resolve
+    // 10 %, so only a full run gates on it.
+    if let Some(r) = perf::probe_distortion(&report.cells) {
+        println!(
+            "probe distortion: median prof/p50 over seq cells {r:.3} (bound {:.2}{})",
+            perf::MAX_PROBE_DISTORTION,
+            if quick {
+                ", not gated with --quick"
+            } else {
+                ""
+            }
+        );
+        if !quick {
+            perf::check_probe_distortion(&report.cells)?;
+        }
     }
     Ok(())
 }
