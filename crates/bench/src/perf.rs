@@ -26,7 +26,6 @@ use std::time::Instant;
 use sw_core::arch::build_arch;
 use sw_core::codec::LineCodecKind;
 use sw_core::config::ArchConfig;
-use sw_core::integral::{analyze_integral, IntegralConfig};
 use sw_core::kernels::{BoxFilter, GaussianFilter, SobelMagnitude, WindowKernel};
 use sw_core::shard::{ShardedFrameRunner, DEFAULT_STRIPS};
 use sw_image::{ImageU8, ScenePreset};
@@ -228,10 +227,11 @@ pub struct BenchReport {
     pub version: u64,
     /// UTC date the report was generated (`YYYY-MM-DD`).
     pub created_utc: String,
-    /// Which workload matrix this is: `window` (the kernel × codec
-    /// sliding-window matrix) or `integral` (the wide i32 integral-image
-    /// engine). Reports written before the workload axis existed parse as
-    /// `window` — the only matrix that era had.
+    /// Which workload matrix this is. The writer always records `window`
+    /// (the kernel × codec sliding-window matrix); reports written before
+    /// the field existed parse as `window`, and reports of the retired
+    /// `integral` workload still parse but never compare against a window
+    /// report.
     pub workload: String,
     /// Settings the matrix ran with.
     pub settings: BenchSettings,
@@ -250,15 +250,6 @@ pub fn matrix_cell_ids() -> Vec<String> {
         }
     }
     ids
-}
-
-/// Cell ids of the integral workload matrix, in report order. The `wide`
-/// codec tag marks the i32 instantiation of the column codec.
-pub fn integral_cell_ids() -> Vec<String> {
-    ["seq", "par"]
-        .iter()
-        .map(|mode| format!("integral/wide/{mode}"))
-        .collect()
 }
 
 fn bench_image(settings: &BenchSettings) -> ImageU8 {
@@ -400,84 +391,6 @@ pub fn run_matrix(settings: &BenchSettings, created_utc: &str) -> Result<BenchRe
         version: SCHEMA_VERSION,
         created_utc: created_utc.to_string(),
         workload: "window".to_string(),
-        settings: *settings,
-        cells,
-    })
-}
-
-/// Run one cell of the integral workload: time [`analyze_integral`] over
-/// `settings.frames` frames. `seq` cells run on a one-thread pool, `par`
-/// cells on the jobs pool; the report digests are identical either way.
-/// Integral cells carry no stage breakdown — the engine is two phases,
-/// not a span hierarchy.
-///
-/// # Errors
-///
-/// Propagates engine errors as strings (none occur at matrix settings).
-pub fn run_integral_cell(
-    par: bool,
-    img: &ImageU8,
-    pool: &ThreadPool,
-    settings: &BenchSettings,
-) -> Result<CellResult, String> {
-    let cfg = IntegralConfig { segment: WINDOW };
-    let seq_pool;
-    let pool = if par {
-        pool
-    } else {
-        seq_pool = ThreadPool::new(1);
-        &seq_pool
-    };
-    let probe = analyze_integral(img, &cfg, pool).map_err(|e| e.to_string())?;
-    let bytes_packed = probe.payload_bits_total / 8;
-    let mut samples_ns = Vec::with_capacity(settings.frames);
-    for _ in 0..settings.frames {
-        let t0 = Instant::now();
-        analyze_integral(img, &cfg, pool).map_err(|e| e.to_string())?;
-        samples_ns.push(u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX));
-    }
-    let total_ns: u64 = samples_ns.iter().sum();
-    let pixels = settings.pixels_per_frame() * settings.frames as u64;
-    let mpix_per_s = if total_ns == 0 {
-        0.0
-    } else {
-        pixels as f64 / (total_ns as f64 / 1e9) / 1e6
-    };
-    samples_ns.sort_unstable();
-    let mode = if par { "par" } else { "seq" };
-    Ok(CellResult {
-        cell: format!("integral/wide/{mode}"),
-        kernel: "integral".to_string(),
-        codec: "wide".to_string(),
-        mode: mode.to_string(),
-        mpix_per_s,
-        p50_ns: percentile(&samples_ns, 0.50),
-        p99_ns: percentile(&samples_ns, 0.99),
-        bytes_packed,
-        stage_breakdown: Vec::new(),
-    })
-}
-
-/// Run the integral workload matrix (`integral/wide/{seq,par}`).
-///
-/// # Errors
-///
-/// The first cell error, in matrix order.
-pub fn run_integral_matrix(
-    settings: &BenchSettings,
-    created_utc: &str,
-) -> Result<BenchReport, String> {
-    let img = bench_image(settings);
-    let pool = ThreadPool::new(settings.jobs);
-    let cells = [false, true]
-        .iter()
-        .map(|&par| run_integral_cell(par, &img, &pool, settings))
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(BenchReport {
-        schema: SCHEMA.to_string(),
-        version: SCHEMA_VERSION,
-        created_utc: created_utc.to_string(),
-        workload: "integral".to_string(),
         settings: *settings,
         cells,
     })
@@ -1067,24 +980,19 @@ mod tests {
     }
 
     #[test]
-    fn integral_matrix_runs_both_modes_and_round_trips() {
-        let s = tiny_settings();
-        assert_eq!(
-            integral_cell_ids(),
-            vec!["integral/wide/seq", "integral/wide/par"]
-        );
-        let report = run_integral_matrix(&s, "2026-08-07").unwrap();
+    fn retired_integral_reports_parse_but_never_compare_with_window() {
+        // A report the retired integral workload wrote (`integral/wide/*`
+        // cells, no stage breakdown) still parses; comparing it with a
+        // window report is the typed workload mismatch.
+        let legacy = include_str!("../tests/fixtures/legacy_integral_report.json");
+        let report = BenchReport::from_json(legacy).unwrap();
         assert_eq!(report.workload, "integral");
         let ids: Vec<&str> = report.cells.iter().map(|c| c.cell.as_str()).collect();
-        assert_eq!(ids, integral_cell_ids());
-        for c in &report.cells {
-            assert!(c.mpix_per_s > 0.0, "{}", c.cell);
-            assert!(c.bytes_packed > 0, "{}", c.cell);
-            assert!(c.stage_breakdown.is_empty(), "{}", c.cell);
-        }
-        let back = BenchReport::from_json(&report.to_json()).unwrap();
-        assert_eq!(back.to_json(), report.to_json());
-        assert_eq!(back.workload, "integral");
+        assert_eq!(ids, ["integral/wide/seq", "integral/wide/par"]);
+        assert!(report.cells.iter().all(|c| c.stage_breakdown.is_empty()));
+        let window = synthetic_report(&[("box/haar/seq", 10.0)]);
+        let err = compare(&window, &report, 10.0).unwrap_err();
+        assert!(err.contains("workload mismatch"), "{err}");
     }
 
     #[test]

@@ -17,9 +17,9 @@
 //! paper's Figure 3, Figure 13 and Tables II–V.
 
 use crate::bitmap::Bitmap;
-use crate::nbits::{min_bits_of, min_bits_significant_of, min_bits_significant_sliced_of};
+use crate::nbits::{min_bits, min_bits_significant, min_bits_significant_sliced};
 use crate::writer::{BitReader, BitWriter};
-use crate::{is_significant_of, Coeff, Sample, NBITS_FIELD_BITS};
+use crate::{is_significant, Coeff, NBITS_FIELD_BITS};
 
 /// A fully encoded sub-band column.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -60,13 +60,7 @@ impl EncodedColumn {
 
     /// Total cost in bits: payload + BitMap + NBits field.
     pub fn total_bits(&self) -> u64 {
-        self.total_bits_for(NBITS_FIELD_BITS)
-    }
-
-    /// Total cost in bits under an explicit NBits field width — the wide
-    /// datapath carries [`Sample::NBITS_FIELD_BITS`] = 5-bit fields.
-    pub fn total_bits_for(&self, nbits_field_bits: u32) -> u64 {
-        self.payload_bits + self.bitmap.len() as u64 + u64::from(nbits_field_bits)
+        self.payload_bits + self.bitmap.len() as u64 + u64::from(NBITS_FIELD_BITS)
     }
 }
 
@@ -107,24 +101,18 @@ impl ColumnCost {
 /// This is allocation-free and is what the sweep benchmarks call millions of
 /// times.
 pub fn column_cost(coeffs: &[Coeff], threshold: Coeff) -> ColumnCost {
-    column_cost_of(coeffs, threshold)
-}
-
-/// Width-generic twin of [`column_cost`]; the NBits management field costs
-/// [`Sample::NBITS_FIELD_BITS`] bits (4 for i16, 5 for the wide instance).
-pub fn column_cost_of<S: Sample>(coeffs: &[S], threshold: S) -> ColumnCost {
     let mut significant = 0usize;
     let mut nbits = 1u32;
     for &c in coeffs {
-        if is_significant_of(c, threshold) {
+        if is_significant(c, threshold) {
             significant += 1;
-            nbits = nbits.max(min_bits_of(c));
+            nbits = nbits.max(min_bits(c));
         }
     }
     ColumnCost {
         payload_bits: significant as u64 * nbits as u64,
         bitmap_bits: coeffs.len() as u64,
-        nbits_bits: u64::from(S::NBITS_FIELD_BITS),
+        nbits_bits: u64::from(NBITS_FIELD_BITS),
         significant,
         nbits,
     }
@@ -140,19 +128,14 @@ pub fn column_cost_of<S: Sample>(coeffs: &[S], threshold: S) -> ColumnCost {
 /// assert_eq!(decode_column(&enc), vec![13, 12, -9, 7]);
 /// ```
 pub fn encode_column(coeffs: &[Coeff], threshold: Coeff) -> EncodedColumn {
-    encode_column_of(coeffs, threshold)
-}
-
-/// Width-generic twin of [`encode_column`].
-pub fn encode_column_of<S: Sample>(coeffs: &[S], threshold: S) -> EncodedColumn {
-    let nbits = min_bits_significant_of(coeffs, threshold);
+    let nbits = min_bits_significant(coeffs, threshold);
     let mut bitmap = Bitmap::new();
     let mut w = BitWriter::new();
     for &c in coeffs {
-        let sig = is_significant_of(c, threshold);
+        let sig = is_significant(c, threshold);
         bitmap.push(sig);
         if sig {
-            w.write_signed_of(c, nbits);
+            w.write_signed(c, nbits);
         }
     }
     let payload_bits = w.bit_len();
@@ -168,27 +151,22 @@ pub fn encode_column_of<S: Sample>(coeffs: &[S], threshold: S) -> EncodedColumn 
 /// allocating — the zero-copy arena building block. Produces a bit-identical
 /// [`EncodedColumn`].
 pub fn encode_column_into(coeffs: &[Coeff], threshold: Coeff, out: &mut EncodedColumn) {
-    encode_column_into_of(coeffs, threshold, out)
-}
-
-/// Width-generic twin of [`encode_column_into`].
-pub fn encode_column_into_of<S: Sample>(coeffs: &[S], threshold: S, out: &mut EncodedColumn) {
-    let nbits = min_bits_significant_of(coeffs, threshold);
+    let nbits = min_bits_significant(coeffs, threshold);
     out.bitmap.clear();
     out.payload.clear();
     // Inline BitWriter: LSB-first staging, whole bytes flushed, partial byte
     // zero-padded at the end — byte-identical to the reference writer. The
-    // accumulator holds at most 7 + nbits <= 39 bits, so u64 always fits.
+    // accumulator holds at most 7 + nbits <= 23 bits, so u64 always fits.
     let mut acc: u64 = 0;
     let mut acc_bits: u32 = 0;
     let mut payload_bits: u64 = 0;
     let mask = (1u64 << nbits) - 1;
     for &c in coeffs {
-        let sig = is_significant_of(c, threshold);
+        let sig = is_significant(c, threshold);
         out.bitmap.push(sig);
         if sig {
-            debug_assert!(min_bits_of(c) <= nbits);
-            acc |= (c.to_raw() & mask) << acc_bits;
+            debug_assert!(min_bits(c) <= nbits);
+            acc |= (u64::from(c as u16) & mask) << acc_bits;
             acc_bits += nbits;
             payload_bits += u64::from(nbits);
             while acc_bits >= 8 {
@@ -212,16 +190,7 @@ pub fn encode_column_into_of<S: Sample>(coeffs: &[S], threshold: S, out: &mut En
 /// and produces a bit-identical [`EncodedColumn`] (pinned by tests and the
 /// `HotPathEquivalence` conformance oracle).
 pub fn encode_column_sliced_into(coeffs: &[Coeff], threshold: Coeff, out: &mut EncodedColumn) {
-    encode_column_sliced_into_of(coeffs, threshold, out)
-}
-
-/// Width-generic twin of [`encode_column_sliced_into`].
-pub fn encode_column_sliced_into_of<S: Sample>(
-    coeffs: &[S],
-    threshold: S,
-    out: &mut EncodedColumn,
-) {
-    let nbits = min_bits_significant_sliced_of(coeffs, threshold);
+    let nbits = min_bits_significant_sliced(coeffs, threshold);
     out.bitmap.clear();
     out.payload.clear();
     let mask = (1u128 << nbits) - 1;
@@ -229,10 +198,10 @@ pub fn encode_column_sliced_into_of<S: Sample>(
     let mut bits: u32 = 0;
     let mut payload_bits: u64 = 0;
     for &c in coeffs {
-        let sig = is_significant_of(c, threshold);
+        let sig = is_significant(c, threshold);
         out.bitmap.push(sig);
         if sig {
-            acc |= ((c.to_raw() as u128) & mask) << bits;
+            acc |= (u128::from(c as u16) & mask) << bits;
             bits += nbits;
             payload_bits += u64::from(nbits);
             if bits >= 64 {
@@ -276,11 +245,15 @@ pub fn decode_column_checked(enc: &EncodedColumn) -> Result<Vec<Coeff>, String> 
 
 /// The consistency guards shared by every decode variant, so the scalar and
 /// bit-sliced paths reject corruption with identical error strings. The NBits
-/// range is the sample width: `1..=16` on the i16 datapath, `1..=32` wide.
-fn validate_encoded_of<S: Sample>(enc: &EncodedColumn) -> Result<(), String> {
+/// range is the coefficient width, `1..=16`.
+fn validate_encoded(enc: &EncodedColumn) -> Result<(), String> {
     let ones = enc.bitmap.count_ones() as u64;
-    if ones > 0 && !(1..=S::BITS).contains(&enc.nbits) {
-        return Err(format!("NBits field {} outside 1..={}", enc.nbits, S::BITS));
+    if ones > 0 && !(1..=Coeff::BITS).contains(&enc.nbits) {
+        return Err(format!(
+            "NBits field {} outside 1..={}",
+            enc.nbits,
+            Coeff::BITS
+        ));
     }
     let expect_bits = if ones > 0 {
         ones * u64::from(enc.nbits)
@@ -306,26 +279,18 @@ fn validate_encoded_of<S: Sample>(enc: &EncodedColumn) -> Result<(), String> {
 /// Scalar twin of [`decode_column_checked`] that reuses `out` instead of
 /// allocating a fresh coefficient vector per column.
 pub fn decode_column_checked_into(enc: &EncodedColumn, out: &mut Vec<Coeff>) -> Result<(), String> {
-    decode_column_checked_into_of(enc, out)
-}
-
-/// Width-generic twin of [`decode_column_checked_into`].
-pub fn decode_column_checked_into_of<S: Sample>(
-    enc: &EncodedColumn,
-    out: &mut Vec<S>,
-) -> Result<(), String> {
-    validate_encoded_of::<S>(enc)?;
+    validate_encoded(enc)?;
     out.clear();
     out.reserve(enc.bitmap.len());
     let mut r = BitReader::new(&enc.payload);
     for sig in enc.bitmap.iter() {
         if sig {
             out.push(
-                r.read_signed_of(enc.nbits)
+                r.read_signed(enc.nbits)
                     .ok_or_else(|| "truncated column payload".to_string())?,
             );
         } else {
-            out.push(S::ZERO);
+            out.push(0);
         }
     }
     Ok(())
@@ -337,21 +302,11 @@ pub fn decode_column_checked_into_of<S: Sample>(
 /// of one `BitReader` call per coefficient. Same guards, same error strings,
 /// identical output (pinned by tests and the `HotPathEquivalence` oracle).
 pub fn decode_column_sliced_into(enc: &EncodedColumn, out: &mut Vec<Coeff>) -> Result<(), String> {
-    decode_column_sliced_into_of(enc, out)
-}
-
-/// Width-generic twin of [`decode_column_sliced_into`].
-pub fn decode_column_sliced_into_of<S: Sample>(
-    enc: &EncodedColumn,
-    out: &mut Vec<S>,
-) -> Result<(), String> {
-    validate_encoded_of::<S>(enc)?;
+    validate_encoded(enc)?;
     out.clear();
     let n = enc.bitmap.len();
     out.reserve(n);
     let nbits = enc.nbits;
-    // `u64::MAX >> (64 − nbits)`, not `(1 << nbits) − 1`: the wide instance
-    // reaches nbits = 32 and the shift form must not overflow at the top.
     let mask = u64::MAX >> (64 - nbits);
     let sign = 1u64 << (nbits - 1);
     let payload = &enc.payload;
@@ -361,12 +316,12 @@ pub fn decode_column_sliced_into_of<S: Sample>(
     for (wi, &w) in enc.bitmap.words().iter().enumerate() {
         let bits_in_word = (n - wi * 64).min(64);
         if w == 0 {
-            out.resize(out.len() + bits_in_word, S::ZERO);
+            out.resize(out.len() + bits_in_word, 0);
             continue;
         }
         for b in 0..bits_in_word {
             if (w >> b) & 1 == 0 {
-                out.push(S::ZERO);
+                out.push(0);
                 continue;
             }
             if avail < nbits {
@@ -384,7 +339,7 @@ pub fn decode_column_sliced_into_of<S: Sample>(
             avail -= nbits;
             // Sign extension via the xor-sub identity, equal to
             // `writer::sign_extend` for every (raw, nbits) pair.
-            out.push(S::from_raw((raw ^ sign).wrapping_sub(sign)));
+            out.push((raw ^ sign).wrapping_sub(sign) as u16 as Coeff);
         }
     }
     Ok(())
@@ -563,106 +518,6 @@ mod tests {
         enc.payload.pop(); // truncated byte stream
         let ea = decode_column_checked_into(&enc, &mut a).unwrap_err();
         let eb = decode_column_sliced_into(&enc, &mut b).unwrap_err();
-        assert_eq!(ea, eb);
-    }
-
-    /// Deterministic wide-instance columns: prefix-sum ramps (the integral
-    /// workload), 32-bit extremes, and mixed sparse content.
-    fn wide_battery() -> Vec<(Vec<i32>, i32)> {
-        let mut state = 0xfeed_face_u32;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 17;
-            state ^= state << 5;
-            state
-        };
-        let mut cases = Vec::new();
-        for len in [0usize, 1, 2, 3, 5, 8, 64, 65, 130] {
-            for t in [0i32, 1, 2, 1 << 16, 1 << 28] {
-                let mut acc = 0i64;
-                let col: Vec<i32> = (0..len)
-                    .map(|_| {
-                        acc += i64::from(next() % 522_240);
-                        let v = (acc % i64::from(i32::MAX)) as i32;
-                        if next() % 5 == 0 {
-                            0
-                        } else if next() % 7 == 0 {
-                            -v
-                        } else {
-                            v
-                        }
-                    })
-                    .collect();
-                cases.push((col, t));
-            }
-        }
-        cases.push((vec![i32::MAX, i32::MIN + 1, -1, 0, 1], 0));
-        cases
-    }
-
-    #[test]
-    fn wide_roundtrip_matches_across_all_variants() {
-        // Encode (allocating, scalar-into, sliced-into) and decode (scalar,
-        // sliced) must agree pairwise at the 32-bit width, and the decode
-        // must be the thresholded input.
-        let mut scratch = EncodedColumn::default();
-        let mut sliced = EncodedColumn::default();
-        let mut scalar_out: Vec<i32> = Vec::new();
-        let mut sliced_out: Vec<i32> = Vec::new();
-        for (col, t) in wide_battery() {
-            let reference = encode_column_of(&col, t);
-            encode_column_into_of(&col, t, &mut scratch);
-            assert_eq!(scratch, reference, "scalar-into t={t}");
-            encode_column_sliced_into_of(&col, t, &mut sliced);
-            assert_eq!(sliced, reference, "sliced-into t={t}");
-            assert_eq!(
-                reference.total_bits_for(5),
-                reference.payload_bits + col.len() as u64 + 5
-            );
-
-            decode_column_checked_into_of(&reference, &mut scalar_out).expect("scalar decode");
-            decode_column_sliced_into_of(&reference, &mut sliced_out).expect("sliced decode");
-            assert_eq!(scalar_out, sliced_out, "decode t={t}");
-            let expect: Vec<i32> = col
-                .iter()
-                .map(|&c| crate::apply_threshold_of(c, t))
-                .collect();
-            assert_eq!(scalar_out, expect, "roundtrip t={t}");
-        }
-    }
-
-    #[test]
-    fn wide_cost_matches_encoding_and_charges_five_bit_fields() {
-        for (col, t) in wide_battery() {
-            let cost = column_cost_of(&col, t);
-            let enc = encode_column_of(&col, t);
-            assert_eq!(cost.payload_bits, enc.payload_bits, "t={t}");
-            assert_eq!(cost.nbits, enc.nbits, "t={t}");
-            assert_eq!(cost.nbits_bits, 5);
-            assert_eq!(cost.total_bits(), enc.total_bits_for(5), "t={t}");
-        }
-    }
-
-    #[test]
-    fn wide_validation_window_admits_32_and_rejects_33() {
-        let enc = encode_column_of(&[i32::MAX, i32::MIN + 1], 0);
-        assert_eq!(enc.nbits, 32);
-        let mut out: Vec<i32> = Vec::new();
-        decode_column_checked_into_of(&enc, &mut out).expect("nbits = 32 is legal wide");
-        assert_eq!(out, vec![i32::MAX, i32::MIN + 1]);
-
-        // The same encoding is corrupt on the narrow datapath…
-        let mut narrow: Vec<Coeff> = Vec::new();
-        let err = decode_column_checked_into(&enc, &mut narrow).unwrap_err();
-        assert_eq!(err, "NBits field 32 outside 1..=16");
-
-        // …and nbits = 33 is corrupt on both, with matching sliced errors.
-        let mut bad = enc.clone();
-        bad.nbits = 33;
-        bad.payload_bits = 2 * 33;
-        let ea = decode_column_checked_into_of::<i32>(&bad, &mut out).unwrap_err();
-        let eb = decode_column_sliced_into_of::<i32>(&bad, &mut out).unwrap_err();
-        assert_eq!(ea, "NBits field 33 outside 1..=32");
         assert_eq!(ea, eb);
     }
 

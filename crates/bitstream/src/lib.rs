@@ -55,72 +55,43 @@ pub mod writer;
 
 pub use bitmap::Bitmap;
 pub use column::{
-    column_cost, column_cost_of, decode_column, decode_column_checked, decode_column_checked_into,
-    decode_column_checked_into_of, decode_column_sliced_into, decode_column_sliced_into_of,
-    encode_column, encode_column_into, encode_column_into_of, encode_column_of,
-    encode_column_sliced_into, encode_column_sliced_into_of, ColumnCost, EncodedColumn,
+    column_cost, decode_column, decode_column_checked, decode_column_checked_into,
+    decode_column_sliced_into, encode_column, encode_column_into, encode_column_sliced_into,
+    ColumnCost, EncodedColumn,
 };
 pub use digest::{fnv1a64, Fnv64};
 pub use hot_path::HotPath;
 pub use locoi::{locoi_compressed_bits, locoi_decode, locoi_encode, locoi_try_decode};
-pub use nbits::{
-    min_bits, min_bits_column, min_bits_column_of, min_bits_of, min_bits_significant_of,
-    min_bits_significant_sliced, min_bits_significant_sliced_of, NBitsCircuit,
-};
+pub use nbits::{min_bits, min_bits_column, min_bits_significant_sliced, NBitsCircuit};
 pub use packer::{pack_columns, pack_columns_sliced, BitPackingUnit};
 pub use telemetry::CodecTelemetry;
 pub use unpacker::BitUnpackingUnit;
-pub use writer::{sign_extend_of, BitReader, BitWriter};
+pub use writer::{BitReader, BitWriter};
 
 /// Coefficient type shared with `sw-wavelet`.
 pub type Coeff = sw_wavelet::Coeff;
 
-/// Width-generic coefficient word, re-exported from `sw-wavelet`.
-///
-/// Every codec entry point in this crate has an `*_of` twin generic over
-/// `S: Sample`; the fixed-width functions are their `S = `[`Coeff`]
-/// specializations, kept as the stable i16 API.
-pub use sw_wavelet::Sample;
-
 /// Width of the NBits management field in bits (paper Section IV-C: "4 bits").
 ///
 /// The field stores `nbits − 1`, so 4 bits cover widths 1..=16 — enough for
-/// the 10-bit worst case of exact Haar coefficients (see `DESIGN.md`). This
-/// is the [`Coeff`] instance of [`Sample::NBITS_FIELD_BITS`]; the wide i32
-/// datapath carries 5-bit fields instead.
+/// the 10-bit worst case of exact Haar coefficients (see `DESIGN.md`).
 pub const NBITS_FIELD_BITS: u32 = 4;
-const _: () = assert!(NBITS_FIELD_BITS == <Coeff as Sample>::NBITS_FIELD_BITS);
 
 /// Returns true when a coefficient survives thresholding and is packed.
 ///
 /// See the crate-level "Significance rule".
 #[inline]
 pub fn is_significant(c: Coeff, threshold: Coeff) -> bool {
-    is_significant_of(c, threshold)
-}
-
-/// Width-generic twin of [`is_significant`].
-///
-/// Uses [`Sample::abs_val`], which keeps the native overflow semantics at
-/// `S::MIN` so the two forms cannot disagree on any input.
-#[inline]
-pub fn is_significant_of<S: Sample>(c: S, threshold: S) -> bool {
-    c != S::ZERO && c.abs_val() >= threshold
+    c != 0 && c.abs() >= threshold
 }
 
 /// Apply the threshold: insignificant coefficients become zero.
 #[inline]
 pub fn apply_threshold(c: Coeff, threshold: Coeff) -> Coeff {
-    apply_threshold_of(c, threshold)
-}
-
-/// Width-generic twin of [`apply_threshold`].
-#[inline]
-pub fn apply_threshold_of<S: Sample>(c: S, threshold: S) -> S {
-    if is_significant_of(c, threshold) {
+    if is_significant(c, threshold) {
         c
     } else {
-        S::ZERO
+        0
     }
 }
 

@@ -11,8 +11,8 @@
 //!
 //! and tests proving the two agree bit for bit.
 
-use crate::{Coeff, Sample};
-use sw_wavelet::swar::load_lanes;
+use crate::Coeff;
+use sw_wavelet::swar::{load4, LANE0_MASK, LANE_ONE};
 
 /// Minimum number of two's-complement bits needed to represent `v`.
 ///
@@ -28,19 +28,20 @@ use sw_wavelet::swar::load_lanes;
 /// assert_eq!(min_bits(255), 9);
 /// assert_eq!(min_bits(-510), 10);
 /// ```
-#[inline]
-pub fn min_bits(v: Coeff) -> u32 {
-    min_bits_of(v)
-}
-
-/// Width-generic twin of [`min_bits`].
 ///
 /// For `v ≥ 0` we need the highest '1' plus a sign bit; for `v < 0` the
 /// highest '0' of `v` (i.e. highest '1' of `!v`) plus the sign bit — which is
-/// exactly one leading-zeros count of the sign-XOR [`Sample::magnitude`].
+/// exactly one leading-zeros count of the sign-XOR magnitude.
 #[inline]
-pub fn min_bits_of<S: Sample>(v: S) -> u32 {
-    v.min_bits()
+pub fn min_bits(v: Coeff) -> u32 {
+    65 - magnitude(v).leading_zeros().min(64)
+}
+
+/// Sign-XOR magnitude, zero-extended: `v` for `v ≥ 0`, `!v` for `v < 0` —
+/// the XOR stage of the paper's Figure 7 NBits circuit.
+#[inline]
+fn magnitude(v: Coeff) -> u64 {
+    u64::from((if v < 0 { !v } else { v }) as u16)
 }
 
 /// Minimum width that represents *every* coefficient in `column`.
@@ -49,13 +50,7 @@ pub fn min_bits_of<S: Sample>(v: S) -> u32 {
 /// an all-insignificant column still carries a well-defined width).
 #[inline]
 pub fn min_bits_column(column: &[Coeff]) -> u32 {
-    min_bits_column_of(column)
-}
-
-/// Width-generic twin of [`min_bits_column`].
-#[inline]
-pub fn min_bits_column_of<S: Sample>(column: &[S]) -> u32 {
-    column.iter().map(|&c| min_bits_of(c)).max().unwrap_or(1)
+    column.iter().map(|&c| min_bits(c)).max().unwrap_or(1)
 }
 
 /// Minimum width over only the *significant* coefficients of a column.
@@ -64,17 +59,11 @@ pub fn min_bits_column_of<S: Sample>(column: &[S]) -> u32 {
 /// column width. Falls back to 1 when nothing is significant.
 #[inline]
 pub fn min_bits_significant(column: &[Coeff], threshold: Coeff) -> u32 {
-    min_bits_significant_of(column, threshold)
-}
-
-/// Width-generic twin of [`min_bits_significant`].
-#[inline]
-pub fn min_bits_significant_of<S: Sample>(column: &[S], threshold: S) -> u32 {
     column
         .iter()
         .copied()
-        .filter(|&c| crate::is_significant_of(c, threshold))
-        .map(min_bits_of)
+        .filter(|&c| crate::is_significant(c, threshold))
+        .map(min_bits)
         .max()
         .unwrap_or(1)
 }
@@ -90,34 +79,24 @@ pub fn min_bits_significant_of<S: Sample>(column: &[S], threshold: S) -> u32 {
 /// folded into the magnitude form: a lane's magnitude participates only when
 /// `v != 0 && |v| >= T`.
 pub fn min_bits_significant_sliced(column: &[Coeff], threshold: Coeff) -> u32 {
-    min_bits_significant_sliced_of(column, threshold)
-}
-
-/// Width-generic twin of [`min_bits_significant_sliced`], `S::LANES` lanes at
-/// a time (4×16 for [`Coeff`], 2×32 for the wide instance).
-pub fn min_bits_significant_sliced_of<S: Sample>(column: &[S], threshold: S) -> u32 {
-    let or_mag: u64 = if threshold.to_i64() <= 1 {
+    let or_mag: u64 = if threshold <= 1 {
         // T <= 1 means significance is simply `v != 0`, and mag(0) == 0
         // contributes nothing to an OR-fold — no per-lane masking needed.
         let mut or64 = 0u64;
-        let mut chunks = column.chunks_exact(S::LANES);
+        let mut chunks = column.chunks_exact(4);
         for lanes in &mut chunks {
-            let x = load_lanes::<S>(lanes);
+            let x = load4(lanes);
             // Per-lane sign mask: lane = all-ones where the coefficient is
             // negative, 0 otherwise; XOR yields the sign-XOR magnitude.
-            let sign = ((x >> (S::LANE_BITS - 1)) & S::LANE_ONE).wrapping_mul(S::LANE0_MASK);
+            let sign = ((x >> 15) & LANE_ONE).wrapping_mul(LANE0_MASK);
             or64 |= x ^ sign;
         }
-        // Fold the lanes of the accumulated OR into one lane-wide mask.
-        let mut folded = or64;
-        let mut width = 64u32;
-        while width > S::LANE_BITS {
-            width /= 2;
-            folded |= folded >> width;
-        }
-        let mut or_mag = folded & S::LANE0_MASK;
+        // Fold the four lanes of the accumulated OR into lane 0.
+        let folded = or64 | (or64 >> 32);
+        let folded = folded | (folded >> 16);
+        let mut or_mag = folded & LANE0_MASK;
         for &v in chunks.remainder() {
-            or_mag |= v.magnitude();
+            or_mag |= magnitude(v);
         }
         or_mag
     } else {
@@ -126,8 +105,8 @@ pub fn min_bits_significant_sliced_of<S: Sample>(column: &[S], threshold: S) -> 
         // the two paths cannot disagree on any input.
         let mut or_mag = 0u64;
         for &v in column {
-            if crate::is_significant_of(v, threshold) {
-                or_mag |= v.magnitude();
+            if crate::is_significant(v, threshold) {
+                or_mag |= magnitude(v);
             }
         }
         or_mag
@@ -155,10 +134,9 @@ pub struct NBitsCircuit {
 
 impl NBitsCircuit {
     /// Create a circuit model for `width`-bit two's-complement inputs
-    /// (2 ..= 32; the paper instantiates `width = 8`, the wide integral
-    /// datapath `width = 32`).
+    /// (2 ..= 16, the [`Coeff`] word; the paper instantiates `width = 8`).
     pub fn new(width: u32) -> Self {
-        assert!((2..=32).contains(&width), "coefficient width out of range");
+        assert!((2..=16).contains(&width), "coefficient width out of range");
         Self { width }
     }
 
@@ -174,15 +152,8 @@ impl NBitsCircuit {
     /// Paper example: `−6 = 0b1111_1010` → `0b000_0101`.
     #[inline]
     pub fn xor_stage(&self, v: Coeff) -> u32 {
-        self.xor_stage_of(v) as u32
-    }
-
-    /// Width-generic twin of [`NBitsCircuit::xor_stage`] for any sample
-    /// instance whose coefficients fit the configured circuit width.
-    #[inline]
-    pub fn xor_stage_of<S: Sample>(&self, v: S) -> u64 {
-        let bits = v.to_raw();
-        let low = (1u64 << (self.width - 1)) - 1;
+        let bits = u32::from(v as u16);
+        let low = (1u32 << (self.width - 1)) - 1;
         let sign = (bits >> (self.width - 1)) & 1;
         let sign_mask = if sign == 1 { low } else { 0 };
         (bits & low) ^ sign_mask
@@ -195,25 +166,20 @@ impl NBitsCircuit {
     /// Panics (in debug builds) if any coefficient does not fit in the
     /// configured width — the hardware wires simply cannot carry it.
     pub fn evaluate(&self, column: &[Coeff]) -> u32 {
-        self.evaluate_of(column)
-    }
-
-    /// Width-generic twin of [`NBitsCircuit::evaluate`].
-    pub fn evaluate_of<S: Sample>(&self, column: &[S]) -> u32 {
-        let mut or_reduce = 0u64;
+        let mut or_reduce = 0u32;
         for &c in column {
             debug_assert!(
-                min_bits_of(c) <= self.width,
+                min_bits(c) <= self.width,
                 "coefficient {c} exceeds the {}-bit datapath",
                 self.width
             );
-            or_reduce |= self.xor_stage_of(c);
+            or_reduce |= self.xor_stage(c);
         }
         // Priority encode: highest asserted position p ⇒ p + 2 bits.
         if or_reduce == 0 {
             1
         } else {
-            (64 - or_reduce.leading_zeros()) + 1
+            (32 - or_reduce.leading_zeros()) + 1
         }
     }
 
@@ -343,105 +309,6 @@ mod tests {
         assert_eq!(min_bits(Coeff::MIN), 16);
         assert_eq!(min_bits_significant_sliced(&[Coeff::MIN], 0), 16);
         assert_eq!(min_bits_significant_sliced(&[Coeff::MIN, 1, -1, 3], 1), 16);
-    }
-
-    #[test]
-    fn wide_min_bits_boundary_values_cover_17_to_32() {
-        // 2^(b−1) − 1 / −2^(b−1) are the extreme b-bit values; widths 17..=32
-        // only exist on the wide instance.
-        for b in 17..=32u32 {
-            let hi = ((1i64 << (b - 1)) - 1) as i32;
-            let lo = (-(1i64 << (b - 1))) as i32;
-            assert_eq!(min_bits_of(hi), b, "max positive for {b}");
-            assert_eq!(min_bits_of(lo), b, "min negative for {b}");
-            if b < 32 {
-                assert_eq!(min_bits_of(hi + 1), b + 1);
-                assert_eq!(min_bits_of(lo - 1), b + 1);
-            }
-        }
-        assert_eq!(min_bits_of(i32::MAX), 32);
-        assert_eq!(min_bits_of(i32::MIN), 32);
-    }
-
-    #[test]
-    fn wide_circuit_matches_arithmetic_at_32bit_sign_edges() {
-        // Widths 17..=32 exercise the priority encoder above the i16 range;
-        // the sign-extension edges (±2^(b−1), ±(2^(b−1) − 1)) are exactly
-        // where the XOR stage flips from magnitude to complement form.
-        for width in 17..=32u32 {
-            let circuit = NBitsCircuit::new(width);
-            let mut values = vec![0i32, 1, -1];
-            for b in 2..=width {
-                values.push(((1i64 << (b - 1)) - 1) as i32);
-                values.push((-(1i64 << (b - 1))) as i32);
-            }
-            for &v in &values {
-                assert_eq!(
-                    circuit.evaluate_of(&[v]),
-                    min_bits_of(v),
-                    "width={width} v={v}"
-                );
-            }
-            let expect = values.iter().map(|&v| min_bits_of(v)).max().unwrap();
-            assert_eq!(circuit.evaluate_of(&values), expect, "width={width}");
-        }
-    }
-
-    #[test]
-    fn wide_sliced_scan_matches_scalar_at_32bit_boundaries() {
-        // Every width 17..=32 in every lane position of the 2-wide word,
-        // across threshold regimes, plus i32::MIN on the lossless path
-        // (mirrors `sliced_scan_handles_i16_min_without_widening`).
-        for b in 17..=32u32 {
-            for v in [((1i64 << (b - 1)) - 1) as i32, (-(1i64 << (b - 1))) as i32] {
-                if v == i32::MIN {
-                    continue; // scalar significance filter debug-panics at MIN
-                }
-                for t in [0i32, 1, 2, 100, i32::MAX] {
-                    for lane in 0..2 {
-                        let mut col = [0i32; 5];
-                        col[lane] = v;
-                        assert_eq!(
-                            min_bits_significant_sliced_of(&col, t),
-                            min_bits_significant_of(&col, t),
-                            "b={b} v={v} t={t} lane={lane}"
-                        );
-                    }
-                }
-            }
-        }
-        assert_eq!(min_bits_of(i32::MIN), 32);
-        assert_eq!(min_bits_significant_sliced_of(&[i32::MIN], 0), 32);
-        assert_eq!(min_bits_significant_sliced_of(&[i32::MIN, 1, -1], 1), 32);
-    }
-
-    #[test]
-    fn wide_sliced_scan_matches_scalar_on_prefix_sum_ramps() {
-        // Monotone prefix-sum content — the integral-image worst case — at
-        // odd lengths (tail path) and mixed signs.
-        let mut state = 0x1234_5678_u32;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 17;
-            state ^= state << 5;
-            state
-        };
-        for len in [1usize, 2, 3, 4, 5, 7, 64, 65] {
-            for t in [0i32, 1, 2, 1 << 20] {
-                let mut acc = 0i64;
-                let col: Vec<i32> = (0..len)
-                    .map(|_| {
-                        acc += i64::from(next() % 522_240); // 255 × 2048 rows
-                        (acc % i64::from(i32::MAX)) as i32
-                    })
-                    .collect();
-                assert_eq!(
-                    min_bits_significant_sliced_of(&col, t),
-                    min_bits_significant_of(&col, t),
-                    "len={len} t={t}"
-                );
-            }
-        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! [`crate::unpacker`] must produce/consume byte streams identical to these —
 //! the test suites cross-check them.
 
-use crate::{Coeff, Sample};
+use crate::Coeff;
 
 /// Accumulates variable-width fields LSB-first into a byte vector.
 #[derive(Debug, Clone, Default)]
@@ -68,17 +68,11 @@ impl BitWriter {
     ///
     /// Panics (debug) if `value` does not fit in `nbits` bits.
     pub fn write_signed(&mut self, value: Coeff, nbits: u32) {
-        self.write_signed_of(value, nbits)
-    }
-
-    /// Width-generic twin of [`BitWriter::write_signed`] for any sample
-    /// width up to 32 bits.
-    pub fn write_signed_of<S: Sample>(&mut self, value: S, nbits: u32) {
         debug_assert!(
-            value.min_bits() <= nbits,
+            crate::min_bits(value) <= nbits,
             "{value} does not fit in {nbits} bits"
         );
-        self.write_bits(value.to_raw() as u32, nbits);
+        self.write_bits(u32::from(value as u16), nbits);
     }
 
     /// Finish, padding the final partial byte with zeros.
@@ -151,12 +145,6 @@ impl<'a> BitReader<'a> {
         let raw = self.read_bits(nbits)?;
         Some(sign_extend(raw, nbits))
     }
-
-    /// Width-generic twin of [`BitReader::read_signed`].
-    pub fn read_signed_of<S: Sample>(&mut self, nbits: u32) -> Option<S> {
-        let raw = self.read_bits(nbits)?;
-        Some(sign_extend_of(u64::from(raw), nbits))
-    }
 }
 
 /// Sign-extend the low `nbits` bits of `raw` into a [`Coeff`].
@@ -168,15 +156,6 @@ pub fn sign_extend(raw: u32, nbits: u32) -> Coeff {
     debug_assert!((1..=16).contains(&nbits));
     let shift = 32 - nbits;
     (((raw << shift) as i32) >> shift) as Coeff
-}
-
-/// Width-generic twin of [`sign_extend`]: the low `nbits` bits of `raw`
-/// become an `S`, for any `nbits` up to `S::BITS`.
-#[inline]
-pub fn sign_extend_of<S: Sample>(raw: u64, nbits: u32) -> S {
-    debug_assert!((1..=S::BITS).contains(&nbits));
-    let shift = 64 - nbits;
-    S::from_i64(((raw << shift) as i64) >> shift)
 }
 
 #[cfg(test)]
@@ -218,41 +197,6 @@ mod tests {
                 assert_eq!(r.read_signed(nbits), Some(v), "width {nbits}");
             }
         }
-    }
-
-    #[test]
-    fn wide_signed_roundtrip_covers_widths_17_to_32() {
-        for nbits in 17..=32u32 {
-            let lo = -(1i64 << (nbits - 1));
-            let hi = (1i64 << (nbits - 1)) - 1;
-            let vals: Vec<i32> = [lo, lo + 1, -1, 0, 1, hi - 1, hi]
-                .iter()
-                .map(|&v| v as i32)
-                .collect();
-            let mut w = BitWriter::new();
-            for &v in &vals {
-                w.write_signed_of(v, nbits);
-            }
-            let bytes = w.into_bytes();
-            let mut r = BitReader::new(&bytes);
-            for &v in &vals {
-                assert_eq!(r.read_signed_of::<i32>(nbits), Some(v), "width {nbits}");
-            }
-        }
-    }
-
-    #[test]
-    fn generic_sign_extend_agrees_with_narrow_form() {
-        for nbits in 1..=16u32 {
-            for raw in [0u32, 1, (1 << (nbits - 1)) - 1, 1 << (nbits - 1)] {
-                let narrow = sign_extend(raw, nbits);
-                let wide: i16 = sign_extend_of(u64::from(raw), nbits);
-                assert_eq!(narrow, wide, "raw={raw} nbits={nbits}");
-            }
-        }
-        // Paper Figure 2's −9 at the wide instance.
-        assert_eq!(sign_extend_of::<i32>(0b10111, 5), -9);
-        assert_eq!(sign_extend_of::<i32>(0xffff_ffff, 32), -1);
     }
 
     #[test]

@@ -11,7 +11,6 @@ use sw_bitstream::digest::splitmix64;
 use sw_core::codec::LineCodecKind;
 use sw_core::config::ArchConfig;
 use sw_core::error::SwError;
-use sw_core::integral::Workload;
 use sw_core::kernels::{BoxFilter, Tap, WindowKernel};
 use sw_core::memory_unit::{MemoryUnitConfig, OverflowPolicy};
 use sw_image::ImageU8;
@@ -39,9 +38,9 @@ pub enum ContentClass {
     Black,
     /// All 255.
     White,
-    /// Per-row saturating prefix sums of small seeded increments: the u8
-    /// shadow of the integral engine's monotone line content, stressing
-    /// the width scan with values that only ever grow along a row.
+    /// Per-row saturating prefix sums of small seeded increments:
+    /// monotone line content, stressing the width scan with values that
+    /// only ever grow along a row.
     MonotoneRamp,
 }
 
@@ -233,11 +232,6 @@ pub struct CaseSpec {
     pub budget_pct: u32,
     /// Fault-injection seed; `None` runs fault-free.
     pub fault_seed: Option<u64>,
-    /// Which workload the case drives: the sliding-window datapath (the
-    /// default, judged by the full oracle battery) or the wide integral
-    /// engine (judged by the integral battery, with [`CaseSpec::window`]
-    /// reinterpreted as the packing segment length).
-    pub workload: Workload,
 }
 
 impl CaseSpec {
@@ -252,14 +246,8 @@ impl CaseSpec {
             Some(s) => format!("-f{s}"),
             None => String::new(),
         };
-        // Only the non-default workload marks the id, so pre-existing ids
-        // never change.
-        let wl = match self.workload {
-            Workload::Window => String::new(),
-            Workload::Integral => format!("-wl{}", self.workload.name()),
-        };
         format!(
-            "{}x{}-{}-s{}-n{}-{}-{}-t{}-{}-b{}{fault}{wl}",
+            "{}x{}-{}-s{}-n{}-{}-{}-t{}-{}-b{}{fault}",
             self.width,
             self.height,
             self.content.name(),
@@ -354,10 +342,9 @@ impl CaseSpec {
         s.push_str(&format!("\"policy\": \"{}\", ", self.policy_name()));
         s.push_str(&format!("\"budget_pct\": {}, ", self.budget_pct));
         match self.fault_seed {
-            Some(f) => s.push_str(&format!("\"fault_seed\": {f}, ")),
-            None => s.push_str("\"fault_seed\": null, "),
+            Some(f) => s.push_str(&format!("\"fault_seed\": {f}")),
+            None => s.push_str("\"fault_seed\": null"),
         }
-        s.push_str(&format!("\"workload\": \"{}\"", self.workload.name()));
         s.push('}');
         s
     }
@@ -385,6 +372,17 @@ impl CaseSpec {
         let kernel_name = txt("kernel")?;
         let codec_name = txt("codec")?;
         let policy_name = txt("policy")?;
+        // Reproducers written while the workload was a case axis carry a
+        // `workload` key; only window cases still exist.
+        match obj.get("workload") {
+            None => {}
+            Some(Json::Str(s)) if s == "window" => {}
+            Some(Json::Str(s)) if s == "integral" => {
+                return Err("workload `integral` was retired; only window cases replay".into())
+            }
+            Some(Json::Str(s)) => return Err(format!("unknown workload `{s}`")),
+            Some(_) => return Err("non-string `workload`".into()),
+        }
         Ok(CaseSpec {
             window: num("window")? as usize,
             width: num("width")? as usize,
@@ -410,15 +408,6 @@ impl CaseSpec {
                 Some(Json::Null) | None => None,
                 Some(v) => Some(v.as_u64().ok_or("non-integer `fault_seed`")?),
             },
-            // Reproducers written before the workload axis existed are all
-            // sliding-window cases.
-            workload: match obj.get("workload") {
-                Some(Json::Str(s)) => {
-                    Workload::parse(s).ok_or_else(|| format!("unknown workload `{s}`"))?
-                }
-                Some(_) => return Err("non-string `workload`".into()),
-                None => Workload::Window,
-            },
         })
     }
 }
@@ -441,7 +430,6 @@ mod tests {
             policy: Some(OverflowPolicy::Stall),
             budget_pct: 50,
             fault_seed: Some(3),
-            workload: Workload::Window,
         }
     }
 
@@ -455,25 +443,23 @@ mod tests {
         no_fault.policy = None;
         let parsed = CaseSpec::from_json(&parse(&no_fault.to_json()).unwrap()).unwrap();
         assert_eq!(parsed, no_fault);
-        let mut integral = spec;
-        integral.workload = Workload::Integral;
-        let parsed = CaseSpec::from_json(&parse(&integral.to_json()).unwrap()).unwrap();
-        assert_eq!(parsed, integral);
     }
 
     #[test]
-    fn workload_axis_defaults_and_tags_consistently() {
-        // Pre-workload reproducers (no `workload` key) replay as
-        // sliding-window cases, and window ids carry no workload tag.
-        let legacy = sample().to_json().replace(", \"workload\": \"window\"", "");
-        assert!(!legacy.contains("workload"));
-        let parsed = CaseSpec::from_json(&parse(&legacy).unwrap()).unwrap();
-        assert_eq!(parsed.workload, Workload::Window);
+    fn legacy_workload_key_replays_window_and_rejects_integral() {
+        // Reproducers written while the workload was a case axis carry a
+        // `workload` key: `window` replays the same case, the retired
+        // `integral` workload is a typed rejection.
         let spec = sample();
+        let with = |wl: &str| {
+            spec.to_json()
+                .replace('}', &format!(", \"workload\": \"{wl}\"}}"))
+        };
+        let window = CaseSpec::from_json(&parse(&with("window")).unwrap()).unwrap();
+        assert_eq!(window, spec);
+        let err = CaseSpec::from_json(&parse(&with("integral")).unwrap()).unwrap_err();
+        assert!(err.contains("retired"), "{err}");
         assert!(!spec.id().contains("-wl"));
-        let mut integral = spec;
-        integral.workload = Workload::Integral;
-        assert!(integral.id().ends_with("-wlintegral"));
     }
 
     #[test]
@@ -485,8 +471,8 @@ mod tests {
         let spec = sample();
         for hp in ["scalar", "sliced"] {
             let legacy = spec.to_json().replace(
-                "\"workload\"",
-                &format!("\"hot_path\": \"{hp}\", \"workload\""),
+                "\"fault_seed\"",
+                &format!("\"hot_path\": \"{hp}\", \"fault_seed\""),
             );
             assert!(legacy.contains(hp));
             let parsed = CaseSpec::from_json(&parse(&legacy).unwrap()).unwrap();

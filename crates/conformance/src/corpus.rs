@@ -15,10 +15,8 @@ use std::collections::BTreeMap;
 use std::path::Path;
 use sw_core::codec::LineCodecKind;
 use sw_core::digest::image_digest;
-use sw_core::integral::{analyze_integral, IntegralConfig, Workload};
 use sw_core::memory_unit::OverflowPolicy;
 use sw_core::planner::{plan, MgmtAccounting};
-use sw_pool::ThreadPool;
 use sw_telemetry::json::{parse, write_escaped, Json};
 
 /// Corpus schema version, bumped on any format change (then `--bless`).
@@ -161,7 +159,6 @@ impl CorpusImage {
                             policy,
                             budget_pct,
                             fault_seed: None,
-                            workload: Workload::Window,
                         });
                     }
                 }
@@ -169,89 +166,6 @@ impl CorpusImage {
         }
         specs
     }
-}
-
-/// Segment lengths the integral golden vectors pin (the engine's packing
-/// granularity — the wide analogue of the NBits column granularity).
-pub const INTEGRAL_SEGMENTS: [usize; 2] = [4, 8];
-
-/// The integral-workload case for one corpus image at one segment length.
-///
-/// The kernel/codec/threshold/policy axes do not exist for this workload;
-/// they are pinned to their defaults so the spec stays serializable and
-/// the coverage grid stays rectangular.
-pub fn integral_spec(img: &CorpusImage, segment: usize) -> CaseSpec {
-    CaseSpec {
-        window: segment,
-        width: img.width,
-        height: img.height,
-        content: img.content,
-        content_seed: img.seed,
-        kernel: KernelKind::Tap,
-        codec: LineCodecKind::Raw,
-        threshold: 0,
-        policy: None,
-        budget_pct: 100,
-        fault_seed: None,
-        workload: Workload::Integral,
-    }
-}
-
-/// One integral cell's golden record: the engine's full accounting plus
-/// the reconstruction digest.
-fn integral_cell_record(img: &CorpusImage, segment: usize) -> Json {
-    let mut obj = BTreeMap::new();
-    let image = img.content.render(img.width, img.height, img.seed);
-    let cfg = IntegralConfig { segment };
-    match analyze_integral(&image, &cfg, &ThreadPool::new(1)) {
-        Ok(r) => {
-            obj.insert("status".into(), Json::Str("ok".into()));
-            obj.insert("digest".into(), Json::Int(i128::from(r.digest)));
-            obj.insert(
-                "payload_bits_total".into(),
-                Json::Int(i128::from(r.payload_bits_total)),
-            );
-            obj.insert(
-                "management_bits_per_line".into(),
-                Json::Int(i128::from(r.management_bits_per_line)),
-            );
-            obj.insert(
-                "peak_line_bits".into(),
-                Json::Int(i128::from(r.peak_line_bits)),
-            );
-            obj.insert(
-                "raw_line_bits".into(),
-                Json::Int(i128::from(r.raw_line_bits)),
-            );
-        }
-        Err(e) => {
-            obj.insert("status".into(), Json::Str("error".into()));
-            obj.insert("error".into(), Json::Str(e.to_string()));
-        }
-    }
-    Json::Obj(obj)
-}
-
-/// The golden document for the integral workload: every corpus image at
-/// every pinned segment length, in one `vectors/integral.json` file.
-fn integral_document() -> Json {
-    let mut cells = BTreeMap::new();
-    for img in &IMAGES {
-        for segment in INTEGRAL_SEGMENTS {
-            cells.insert(
-                format!("{}/s{segment}", img.name),
-                integral_cell_record(img, segment),
-            );
-        }
-    }
-    let mut doc = BTreeMap::new();
-    doc.insert("schema".into(), Json::Int(i128::from(SCHEMA)));
-    doc.insert(
-        "workload".into(),
-        Json::Str(Workload::Integral.name().into()),
-    );
-    doc.insert("cells".into(), Json::Obj(cells));
-    Json::Obj(doc)
 }
 
 /// Compute one cell's golden record as a JSON object.
@@ -385,24 +299,7 @@ pub fn render_document(j: &Json) -> String {
 ///
 /// Any filesystem error creating or writing the vector files.
 pub fn bless(dir: &Path) -> std::io::Result<usize> {
-    let mut cells = bless_images(dir, &IMAGES)?;
-    cells += bless_integral(dir)?;
-    Ok(cells)
-}
-
-/// Regenerate the integral-workload golden vectors (`integral.json`).
-/// Returns the cell count written. The window-workload files are
-/// untouched — the two workloads bless independently.
-fn bless_integral(dir: &Path) -> std::io::Result<usize> {
-    std::fs::create_dir_all(dir)?;
-    let doc = integral_document();
-    let cells = doc
-        .as_obj()
-        .and_then(|o| o.get("cells"))
-        .and_then(Json::as_obj)
-        .map_or(0, BTreeMap::len);
-    std::fs::write(dir.join("integral.json"), render_document(&doc))?;
-    Ok(cells)
+    bless_images(dir, &IMAGES)
 }
 
 /// [`bless`] over an explicit image subset (the unit tests use a single
@@ -479,40 +376,7 @@ fn diff_json(path: &str, golden: &Json, current: &Json, out: &mut Vec<String>) {
 /// Any filesystem error reading the vector files (a *missing* file is a
 /// mismatch, not an error).
 pub fn check(dir: &Path) -> std::io::Result<CheckReport> {
-    let mut report = check_images(dir, &IMAGES)?;
-    check_integral(dir, &mut report)?;
-    Ok(report)
-}
-
-/// Recompute the integral golden cells and compare against
-/// `integral.json`, appending any divergence to `report`.
-fn check_integral(dir: &Path, report: &mut CheckReport) -> std::io::Result<()> {
-    let current = integral_document();
-    if let Some(c) = current
-        .as_obj()
-        .and_then(|o| o.get("cells"))
-        .and_then(Json::as_obj)
-    {
-        report.cells += c.len();
-    }
-    let file = dir.join("integral.json");
-    let text = match std::fs::read_to_string(&file) {
-        Ok(t) => t,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-            report
-                .mismatches
-                .push("integral: golden vector file missing (run --bless)".into());
-            return Ok(());
-        }
-        Err(e) => return Err(e),
-    };
-    match parse(&text) {
-        Ok(golden) => diff_json("integral", &golden, &current, &mut report.mismatches),
-        Err(e) => report
-            .mismatches
-            .push(format!("integral: golden vector unparsable: {e:?}")),
-    }
-    Ok(())
+    check_images(dir, &IMAGES)
 }
 
 /// [`check`] over an explicit image subset.
@@ -564,8 +428,7 @@ fn check_images(dir: &Path, images: &[CorpusImage]) -> std::io::Result<CheckRepo
 pub struct GoldenDigest {
     /// The corpus case that produced the record.
     pub spec: CaseSpec,
-    /// The blessed output digest (output-image digest for window cases,
-    /// reconstruction digest for integral cases).
+    /// The blessed output-image digest.
     pub digest: u64,
 }
 
@@ -596,7 +459,7 @@ fn load_cells(dir: &Path, file: &str) -> std::io::Result<Option<BTreeMap<String,
         .cloned())
 }
 
-/// Load every successfully-blessed window-workload digest from `dir`.
+/// Load every successfully-blessed digest from `dir`.
 ///
 /// Cells blessed as typed errors (degenerate geometries) are skipped —
 /// they have no digest to reproduce.
@@ -612,27 +475,6 @@ pub fn golden_window_digests(dir: &Path) -> std::io::Result<Vec<GoldenDigest>> {
         };
         for spec in img.cells() {
             if let Some(digest) = cell_digest(&cells, &spec.cell_key()) {
-                out.push(GoldenDigest { spec, digest });
-            }
-        }
-    }
-    Ok(out)
-}
-
-/// Load every blessed integral-workload digest from `dir`.
-///
-/// # Errors
-///
-/// Any filesystem error other than a missing vector file.
-pub fn golden_integral_digests(dir: &Path) -> std::io::Result<Vec<GoldenDigest>> {
-    let mut out = Vec::new();
-    let Some(cells) = load_cells(dir, "integral.json")? else {
-        return Ok(out);
-    };
-    for img in &IMAGES {
-        for segment in INTEGRAL_SEGMENTS {
-            let spec = integral_spec(img, segment);
-            if let Some(digest) = cell_digest(&cells, &format!("{}/s{segment}", img.name)) {
                 out.push(GoldenDigest { spec, digest });
             }
         }
@@ -695,32 +537,6 @@ mod tests {
                 .mismatches
                 .iter()
                 .any(|m| m.contains("black") && m.contains("cycles")),
-            "{:?}",
-            dirty.mismatches
-        );
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn integral_vectors_round_trip_and_catch_drift() {
-        let dir = std::env::temp_dir().join(format!("sw-integral-vec-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let written = bless_integral(&dir).unwrap();
-        assert_eq!(written, IMAGES.len() * INTEGRAL_SEGMENTS.len());
-        let mut clean = CheckReport::default();
-        check_integral(&dir, &mut clean).unwrap();
-        assert!(clean.is_clean(), "{:?}", clean.mismatches);
-        assert_eq!(clean.cells, written);
-        // Corrupt one digest and expect the check to name cell and field.
-        let file = dir.join("integral.json");
-        let text = std::fs::read_to_string(&file).unwrap();
-        let corrupted = text.replacen("\"digest\": ", "\"digest\": 9", 1);
-        assert_ne!(corrupted, text, "fixture must actually corrupt a field");
-        std::fs::write(&file, corrupted).unwrap();
-        let mut dirty = CheckReport::default();
-        check_integral(&dir, &mut dirty).unwrap();
-        assert!(
-            dirty.mismatches.iter().any(|m| m.contains("digest")),
             "{:?}",
             dirty.mismatches
         );

@@ -13,23 +13,14 @@
 //!    stats consistency), each returning a structured [`Verdict`] that
 //!    names the first divergent pixel, row or field.
 //! 3. **Coverage-guided fuzzing** ([`fuzz`]) — mutates dimensions,
-//!    content, thresholds, budgets, fault seeds and the workload axis,
-//!    tracks exercised `(codec × policy × shape-class × workload)` cells,
-//!    and
-//!    shrinks failures into minimal reproducers under
-//!    `vectors/regressions/`.
-//!
-//! The wide integral engine is a first-class workload: its golden cells
-//! live in `vectors/integral.json`, fuzz cases with
-//! `workload = "integral"` are judged by the integral battery
-//! (scalar-reference/jobs invariance plus the reference-integral-image
-//! digest), and the corpus run covers every image × segment cell.
+//!    content, thresholds, budgets and fault seeds, tracks exercised
+//!    `(codec × policy × shape-class)` cells, and shrinks failures into
+//!    minimal reproducers under `vectors/regressions/`.
 //!
 //! The oracle battery additionally pins the bit-sliced hot path: on every
-//! case the `HotPathEquivalence` (window) and `IntegralEquivalence`
-//! (integral) oracles rerun the datapath on the scalar reference kernels
-//! (`sw-core`'s `oracle` feature) and demand bit-identical outputs and
-//! stats.
+//! case the `HotPathEquivalence` oracle reruns the datapath on the scalar
+//! reference kernels (`sw-core`'s `oracle` feature) and demands
+//! bit-identical outputs and stats.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -40,9 +31,7 @@ pub mod fuzz;
 pub mod oracle;
 
 pub use case::{CaseSpec, ContentClass, KernelKind, ShapeClass};
-pub use corpus::{
-    default_vectors_dir, golden_integral_digests, golden_window_digests, CheckReport, GoldenDigest,
-};
+pub use corpus::{default_vectors_dir, golden_window_digests, CheckReport, GoldenDigest};
 pub use fuzz::{replay_regressions, run_fuzz, Coverage, FuzzReport};
 pub use oracle::{all_oracles, run_oracles, CaseContext, Divergence, Outcome, Verdict};
 
@@ -61,7 +50,7 @@ pub struct RunSummary {
     pub oracle_verdicts: usize,
     /// Regression reproducers that failed on replay.
     pub regression_failures: Vec<String>,
-    /// `(codec × policy × shape × workload)` coverage over the corpus grid.
+    /// `(codec × policy × shape)` coverage over the corpus grid.
     pub coverage: Coverage,
 }
 
@@ -123,15 +112,7 @@ pub fn run_all(vectors_dir: &Path) -> std::io::Result<RunSummary> {
     let mut oracle_failures = Vec::new();
     let mut oracle_verdicts = 0usize;
     let mut coverage = Coverage::default();
-    // The integral workload rides the same run: every corpus image at
-    // every pinned segment length, judged by the integral battery (its
-    // golden cells were already checked above).
-    let integral = corpus::IMAGES.iter().flat_map(|img| {
-        corpus::INTEGRAL_SEGMENTS
-            .into_iter()
-            .map(|segment| corpus::integral_spec(img, segment))
-    });
-    for spec in corpus::corpus_specs().into_iter().chain(integral) {
+    for spec in corpus::corpus_specs() {
         coverage.record(&spec);
         let ctx = CaseContext::new(spec);
         for v in run_oracles(&ctx) {

@@ -11,22 +11,17 @@
 
 use crate::case::{CaseSpec, ContentClass, KernelKind};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use sw_bitstream::{Fnv64, Sample};
 use sw_core::arch::{build_arch, FrameOutput};
 use sw_core::codec::LineCodecKind;
 use sw_core::config::ArchConfig;
 use sw_core::error::SwError;
 use sw_core::faults::FaultInjector;
-use sw_core::integral::{
-    analyze_integral, analyze_integral_scalar_reference, IntegralConfig, IntegralReport, WideCoeff,
-    Workload,
-};
 use sw_core::kernels::Tap;
 use sw_core::memory_unit::{MemoryUnitConfig, OverflowPolicy};
 use sw_core::rtl::RtlCompressedSlidingWindow;
 use sw_core::shard::ShardedFrameRunner;
 use sw_fpga::fifo::FifoError;
-use sw_image::{reference_integral_image, ImageU8};
+use sw_image::ImageU8;
 use sw_pool::ThreadPool;
 
 /// Where two runs first disagreed.
@@ -788,124 +783,6 @@ impl Oracle for FaultRobustness {
     }
 }
 
-/// The integral engine's field-by-field report comparison, naming the
-/// first divergent field.
-fn compare_integral_reports(got: &IntegralReport, want: &IntegralReport) -> Outcome {
-    let fields = [
-        ("width", got.width as u64, want.width as u64),
-        ("height", got.height as u64, want.height as u64),
-        ("segment", got.segment as u64, want.segment as u64),
-        (
-            "payload_bits_total",
-            got.payload_bits_total,
-            want.payload_bits_total,
-        ),
-        (
-            "management_bits_per_line",
-            got.management_bits_per_line,
-            want.management_bits_per_line,
-        ),
-        ("peak_line_bits", got.peak_line_bits, want.peak_line_bits),
-        ("raw_line_bits", got.raw_line_bits, want.raw_line_bits),
-        ("digest", got.digest, want.digest),
-    ];
-    for (name, g, w) in fields {
-        if g != w {
-            return Outcome::Fail(Divergence::Field {
-                name: name.into(),
-                got: g,
-                want: w,
-            });
-        }
-    }
-    Outcome::Pass
-}
-
-/// The wide engine is path- and jobs-invariant: the scalar reference on
-/// one thread and the sliced product engine on three must produce bit-identical
-/// reports (digest included) — the 32-bit mirror of `HotPathEquivalence`.
-pub struct IntegralEquivalence;
-
-impl Oracle for IntegralEquivalence {
-    fn name(&self) -> &'static str {
-        "IntegralEquivalence"
-    }
-
-    fn check(&self, ctx: &CaseContext) -> Outcome {
-        let cfg = IntegralConfig {
-            segment: ctx.spec.window,
-        };
-        let scalar = analyze_integral_scalar_reference(&ctx.image, &cfg, &ThreadPool::new(1));
-        let sliced = analyze_integral(&ctx.image, &cfg, &ThreadPool::new(3));
-        match (scalar, sliced) {
-            (Ok(want), Ok(got)) => compare_integral_reports(&got, &want),
-            (Err(a), Err(b)) => {
-                if a.to_string() == b.to_string() {
-                    Outcome::Pass
-                } else {
-                    Outcome::Fail(Divergence::Error(format!(
-                        "hot paths errored differently: `{a}` vs `{b}`"
-                    )))
-                }
-            }
-            (Ok(_), Err(e)) => Outcome::Fail(Divergence::Error(format!(
-                "sliced engine errored where scalar ran: {e}"
-            ))),
-            (Err(e), Ok(_)) => Outcome::Fail(Divergence::Error(format!(
-                "scalar engine errored where sliced ran: {e}"
-            ))),
-        }
-    }
-}
-
-/// The engine's reconstruction digest equals the fingerprint of the
-/// directly computed integral image (i64 math, no codec in the loop) —
-/// the packed line buffer may not perturb a single summed-area word.
-pub struct IntegralDigest;
-
-impl Oracle for IntegralDigest {
-    fn name(&self) -> &'static str {
-        "IntegralDigest"
-    }
-
-    fn check(&self, ctx: &CaseContext) -> Outcome {
-        let cfg = IntegralConfig {
-            segment: ctx.spec.window,
-        };
-        let report = match analyze_integral(&ctx.image, &cfg, &ThreadPool::new(2)) {
-            Ok(r) => r,
-            Err(SwError::Config(msg)) => return Outcome::Skip(format!("rejected: {msg}")),
-            Err(e) => return Outcome::Fail(Divergence::Error(format!("engine errored: {e}"))),
-        };
-        let reference = reference_integral_image(&ctx.image);
-        let mut h = Fnv64::new();
-        h.write_u64(ctx.image.width() as u64);
-        h.write_u64(ctx.image.height() as u64);
-        for &v in &reference {
-            // The engine folds with wrapping adds, so the truncating cast
-            // (two's-complement wrap) is exactly its arithmetic.
-            h.write_u64((v as WideCoeff).to_raw());
-        }
-        let want = h.finish();
-        if report.digest != want {
-            return Outcome::Fail(Divergence::Field {
-                name: "digest".into(),
-                got: report.digest,
-                want,
-            });
-        }
-        let raw = ctx.image.width() as u64 * u64::from(WideCoeff::BITS);
-        if report.raw_line_bits != raw {
-            return Outcome::Fail(Divergence::Field {
-                name: "raw_line_bits".into(),
-                got: report.raw_line_bits,
-                want: raw,
-            });
-        }
-        Outcome::Pass
-    }
-}
-
 /// The full oracle battery, in reporting order.
 pub fn all_oracles() -> Vec<Box<dyn Oracle>> {
     vec![
@@ -920,20 +797,10 @@ pub fn all_oracles() -> Vec<Box<dyn Oracle>> {
     ]
 }
 
-/// The integral-workload battery: the window oracles have no meaning for
-/// the wide engine, so integral cases are judged by their own pair.
-pub fn integral_oracles() -> Vec<Box<dyn Oracle>> {
-    vec![Box::new(IntegralEquivalence), Box::new(IntegralDigest)]
-}
-
 /// Run every oracle on one case, converting a panicking datapath into a
 /// failing verdict (the harness and fuzzer must keep going).
 pub fn run_oracles(ctx: &CaseContext) -> Vec<Verdict> {
-    let battery = match ctx.spec.workload {
-        Workload::Window => all_oracles(),
-        Workload::Integral => integral_oracles(),
-    };
-    battery
+    all_oracles()
         .into_iter()
         .map(|oracle| {
             let outcome =
@@ -972,22 +839,6 @@ mod tests {
             policy: None,
             budget_pct: 100,
             fault_seed: None,
-            workload: Workload::Window,
-        }
-    }
-
-    #[test]
-    fn integral_case_passes_its_battery() {
-        let mut s = spec();
-        s.workload = Workload::Integral;
-        s.content = ContentClass::MonotoneRamp;
-        s.content_seed = 21;
-        let ctx = CaseContext::new(s);
-        let verdicts = run_oracles(&ctx);
-        assert_eq!(verdicts.len(), integral_oracles().len());
-        for v in verdicts {
-            assert!(!v.is_fail(), "{v}");
-            assert!(matches!(v.outcome, Outcome::Pass), "{v}");
         }
     }
 

@@ -46,7 +46,6 @@ use crate::window::ActiveWindow;
 use crate::{Coeff, Pixel};
 use std::collections::VecDeque;
 use std::time::Instant;
-use sw_bitstream::Sample;
 use sw_fpga::sim::Watermark;
 use sw_image::ImageU8;
 use sw_telemetry::{
@@ -320,7 +319,7 @@ pub struct SlidingWindow<C: LineCodec> {
     window: ActiveWindow,
     /// Evicted columns (as the codec's coefficient word) awaiting a full
     /// codec group.
-    staging: Vec<Vec<C::Sample>>,
+    staging: Vec<Vec<Coeff>>,
     staged: usize,
     queue: VecDeque<GroupEntry<C::Encoded>>,
     /// Decoded raw columns of the front group awaiting delivery.
@@ -451,7 +450,7 @@ impl<C: LineCodec> SlidingWindow<C> {
             group,
             codec,
             window: ActiveWindow::new(n),
-            staging: vec![vec![<C::Sample as Sample>::ZERO; n]; group],
+            staging: vec![vec![0; n]; group],
             staged: 0,
             queue: VecDeque::new(),
             carry: VecDeque::new(),
@@ -761,7 +760,7 @@ impl<C: LineCodec> SlidingWindow<C> {
             // (3) Stage the evicted column; encode when the codec's
             //     group is full.
             for (dst, &src) in self.staging[self.staged].iter_mut().zip(&self.evicted) {
-                *dst = <C::Sample as Sample>::from_pixel(src);
+                *dst = Coeff::from(src);
             }
             self.staged += 1;
             if self.staged == self.group {

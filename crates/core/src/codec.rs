@@ -29,7 +29,7 @@ use sw_bitstream::locoi::{locoi_encode, locoi_try_decode};
 #[cfg(any(test, feature = "oracle"))]
 use sw_bitstream::{decode_column_checked, encode_column};
 use sw_bitstream::{
-    decode_column_sliced_into, encode_column_sliced_into, CodecTelemetry, EncodedColumn, Sample,
+    decode_column_sliced_into, encode_column_sliced_into, CodecTelemetry, EncodedColumn,
     NBITS_FIELD_BITS,
 };
 use sw_image::ImageU8;
@@ -173,12 +173,10 @@ pub struct EncodedGroup<E> {
 /// coefficients; [`LineCodec::try_decode_group_into`] must return the
 /// same number of columns, each `cfg.window` pixels tall.
 pub trait LineCodec {
-    /// Coefficient word the codec's datapath carries. Every paper codec is
-    /// a [`Coeff`] (i16) instance; the integral-image engine instantiates
-    /// the wide i32 word, and the generic datapath in
-    /// [`crate::arch::SlidingWindow`] sizes its staging buffers and bit
-    /// accounting from `Sample::BITS` instead of a fixed constant.
-    type Sample: Sample;
+    /// Always [`Coeff`]: every codec carries the paper's 16-bit
+    /// coefficient word. Kept because the `perfbench` benchmark names
+    /// `LineCodec<Sample = Coeff>`; no product code reads it.
+    type Sample;
 
     /// Opaque encoded form of one column group.
     type Encoded;
@@ -208,7 +206,7 @@ pub trait LineCodec {
     /// in place instead of allocating a fresh one.
     fn encode_group_reuse(
         &mut self,
-        cols: &[Vec<Self::Sample>],
+        cols: &[Vec<Coeff>],
         recycled: Option<Self::Encoded>,
     ) -> EncodedGroup<Self::Encoded>;
 
@@ -1162,7 +1160,7 @@ mod tests {
     }
 
     /// Encode one group and decode it straight back.
-    fn roundtrip<C: LineCodec<Sample = Coeff>>(
+    fn roundtrip<C: LineCodec>(
         codec: &mut C,
         cols: &[Vec<Coeff>],
     ) -> (EncodedGroup<C::Encoded>, Vec<Vec<Pixel>>) {
@@ -1209,7 +1207,7 @@ mod tests {
     fn lossless_roundtrip_every_codec() {
         let c = cfg(8, 64);
         let cols: Vec<Vec<Coeff>> = (0..4).map(|i| column(8, i)).collect();
-        fn lossless<C: LineCodec<Sample = Coeff>>(c: &ArchConfig, cols: &[Vec<Coeff>]) {
+        fn lossless<C: LineCodec>(c: &ArchConfig, cols: &[Vec<Coeff>]) {
             let mut codec = C::new(c);
             let g = codec.group_width();
             let (_, back) = roundtrip(&mut codec, &cols[..g]);
@@ -1235,7 +1233,7 @@ mod tests {
                     .collect()
             })
             .collect();
-        fn bits<C: LineCodec<Sample = Coeff>>(c: &ArchConfig, cols: &[Vec<Coeff>]) -> u64 {
+        fn bits<C: LineCodec>(c: &ArchConfig, cols: &[Vec<Coeff>]) -> u64 {
             let mut codec = C::new(c);
             let g = codec.group_width();
             codec.encode_group_reuse(&cols[..g], None).payload_bits

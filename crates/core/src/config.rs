@@ -3,7 +3,7 @@
 use crate::codec::LineCodecKind;
 use crate::error::SwError;
 use crate::Coeff;
-use sw_bitstream::{Sample, NBITS_FIELD_BITS};
+use sw_bitstream::NBITS_FIELD_BITS;
 
 /// Which sub-bands the threshold applies to.
 ///
@@ -215,13 +215,11 @@ impl ArchConfig {
 
     /// Management bits the *compressed* architecture needs:
     /// `2 × NBits_field × (W − N)` for NBits plus `(W − N) × N` for BitMap
-    /// (Section IV-C). The NBits field width is derived from the coefficient
-    /// word (`⌈log2(BITS)⌉`, i.e. 4 bits at the paper's 16-bit width).
+    /// (Section IV-C), with the paper's 4-bit NBits field.
     #[inline]
     pub fn management_bits(&self) -> u64 {
-        const _: () = assert!(NBITS_FIELD_BITS == 4, "paper formula assumes 16-bit coeffs");
         let cols = self.fifo_depth() as u64;
-        2 * u64::from(<Coeff as Sample>::NBITS_FIELD_BITS) * cols + cols * self.window as u64
+        2 * u64::from(NBITS_FIELD_BITS) * cols + cols * self.window as u64
     }
 
     /// Validating builder for checked construction: every constraint

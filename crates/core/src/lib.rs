@@ -40,9 +40,6 @@
 //! * [`shard`] — halo-sharded frame execution: `K` row strips with
 //!   `N − 1`-row halos processed concurrently on a work-stealing pool and
 //!   stitched deterministically (byte-identical for any `--jobs`).
-//! * [`integral`] — the wide (`i32`) instantiation of the datapath: an
-//!   integral-image line buffer packing delta lines through the
-//!   width-generic column codec (experiment E27).
 //! * [`adaptive`] — the paper's *future work*: a per-frame threshold
 //!   controller that keeps packed bits within a BRAM budget.
 //! * [`error`] — the crate-wide [`error::SwError`] / [`error::Result`]
@@ -89,7 +86,6 @@ pub mod config;
 pub mod digest;
 pub mod error;
 pub mod faults;
-pub mod integral;
 pub mod kernels;
 pub mod memory_unit;
 pub mod pipeline;
@@ -107,9 +103,8 @@ pub use config::{ArchConfig, ArchConfigBuilder, CoeffMode, NBitsGranularity, Thr
 pub use digest::{image_digest, stats_digest};
 pub use error::SwError;
 pub use faults::{FaultInjector, FaultSite, FaultSpec};
-pub use integral::{analyze_integral, IntegralConfig, IntegralReport, WideCoeff, Workload};
 pub use memory_unit::{MemoryUnit, MemoryUnitConfig, OverflowPolicy};
-pub use sw_bitstream::{HotPath, Sample};
+pub use sw_bitstream::HotPath;
 pub use window::{ActiveWindow, WindowView};
 
 /// Pixel type (8-bit grayscale, as in the paper).

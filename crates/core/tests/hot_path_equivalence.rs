@@ -222,88 +222,6 @@ fn scratch_arenas_do_not_bleed_across_frames() {
 }
 
 #[test]
-fn wide_integral_engine_agrees_across_hot_paths_and_jobs() {
-    // The i32 mirror of the battery: the integral engine instantiates the
-    // width-generic column codec at 32 bits, so both paths (and any pool
-    // size) must produce identical reports — digest included.
-    use sw_core::integral::analyze_integral_scalar_reference;
-    use sw_core::{analyze_integral, IntegralConfig};
-    use sw_pool::ThreadPool;
-    let p1 = ThreadPool::new(1);
-    let pn = ThreadPool::new(4);
-    for img in [
-        scene(64, 24, 0x1173),
-        scene(37, 19, 0x5eed), // odd width: segment remainders
-        checkerboard(48, 16),
-        bars(65, 12),
-        ImageU8::filled(128, 9, 255), // worst-case monotone ramps
-    ] {
-        for segment in [4usize, 8, 16] {
-            let cfg = IntegralConfig { segment };
-            let scalar = analyze_integral_scalar_reference(&img, &cfg, &p1).unwrap();
-            let sliced = analyze_integral(&img, &cfg, &pn).unwrap();
-            assert_eq!(
-                scalar,
-                sliced,
-                "integral {}x{} segment {segment}",
-                img.width(),
-                img.height()
-            );
-        }
-    }
-}
-
-#[test]
-fn wide_column_codec_paths_agree_at_i32_extremes() {
-    // Direct 32-bit differential over the column codec the engine rides:
-    // scalar and sliced encoders must emit byte-identical columns and both
-    // decoders must invert them, including at the sign-boundary widths
-    // (2^16 .. 2^31) the 16-bit battery can never reach.
-    use sw_bitstream::{
-        decode_column_checked_into_of, decode_column_sliced_into_of, encode_column_into_of,
-        encode_column_sliced_into_of, EncodedColumn,
-    };
-    let mut rng = Rng(0x32b17);
-    let boundary = |b: u32| -> i32 { ((1i64 << b) - 1) as i32 };
-    // i32::MIN itself sits outside the codec domain (its magnitude has no
-    // two's-complement twin), matching the i16 path where coefficients
-    // never reach the word's minimum either.
-    let mut columns: Vec<Vec<i32>> = vec![
-        vec![i32::MAX, -i32::MAX, -1, 0, 1, i32::MIN + 1],
-        (16..=30).map(boundary).collect(),
-        (16..=30).map(|b| -boundary(b) - 1).collect(),
-    ];
-    for _ in 0..16 {
-        let len = 1 + rng.below(24) as usize;
-        columns.push(
-            (0..len)
-                .map(|_| {
-                    let shift = rng.below(33) as u32;
-                    let v = ((rng.next() as i64 >> shift) as i32).max(i32::MIN + 1);
-                    if rng.below(2) == 0 {
-                        v
-                    } else {
-                        v.wrapping_neg()
-                    }
-                })
-                .collect(),
-        );
-    }
-    for (i, col) in columns.iter().enumerate() {
-        let (mut scalar, mut sliced) = (EncodedColumn::default(), EncodedColumn::default());
-        encode_column_into_of::<i32>(col, 0, &mut scalar);
-        encode_column_sliced_into_of::<i32>(col, 0, &mut sliced);
-        assert_eq!(scalar, sliced, "column {i}: encoders diverge");
-        let mut a = Vec::new();
-        let mut b = Vec::new();
-        decode_column_checked_into_of::<i32>(&scalar, &mut a).unwrap();
-        decode_column_sliced_into_of::<i32>(&scalar, &mut b).unwrap();
-        assert_eq!(&a, col, "column {i}: checked decode");
-        assert_eq!(&b, col, "column {i}: sliced decode");
-    }
-}
-
-#[test]
 fn scratch_arenas_survive_mid_sequence_reset() {
     // An explicit reset between frames (what the sharded runner and the
     // pipeline do at strip/stage boundaries) must behave exactly like a

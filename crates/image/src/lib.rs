@@ -14,7 +14,6 @@
 #![warn(missing_docs)]
 
 pub mod image;
-pub mod integral;
 pub mod metrics;
 pub mod pgm;
 pub mod rgb;
@@ -23,7 +22,6 @@ pub mod synth;
 pub mod video;
 
 pub use image::ImageU8;
-pub use integral::{reference_integral_image, row_prefix_sums};
 pub use metrics::{max_abs_error, mean, mse, psnr};
 pub use rgb::ImageRgb;
 pub use synth::{dataset, degenerate_suite, SceneKind, ScenePreset};

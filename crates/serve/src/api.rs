@@ -4,7 +4,7 @@
 //! — is the *single* source of truth for "run this workload on this
 //! frame". The `swc analyze|sweep|bench` subcommands build their
 //! configuration through [`JobSpecBuilder`] (one flag parser for
-//! `--codec`, `--jobs`, `--workload`, `--overflow-policy`,
+//! `--codec`, `--jobs`, `--overflow-policy`,
 //! `--budget-fraction`, …), the daemon decodes the same type off the
 //! socket, and the client/load-generator encodes it back. Encoding is
 //! hand-rolled canonical little-endian (see [`crate::wire`]): the same
@@ -16,7 +16,6 @@ use sw_bitstream::HotPath;
 use sw_core::codec::LineCodecKind;
 use sw_core::config::{ArchConfig, ThresholdPolicy};
 use sw_core::error::SwError;
-use sw_core::integral::Workload;
 use sw_core::kernels::{
     BoxFilter, GaussianFilter, MedianFilter, SobelMagnitude, Tap, WindowKernel,
 };
@@ -34,8 +33,7 @@ pub const MAX_DETAIL_BYTES: usize = 4096;
 /// [`crate::wire::MAX_FRAME_BYTES`].
 pub const MAX_DIM: u32 = 4096;
 
-/// The kernel a served window job applies (the integral workload has a
-/// fixed engine and ignores this).
+/// The kernel a served job applies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum JobKernel {
     /// Corner tap — the cheapest operator, exposes the raw buffered
@@ -111,12 +109,9 @@ impl JobKernel {
 /// [`sw_core::shard::DEFAULT_STRIPS`] strips on the executor's pool.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobSpec {
-    /// Which engine runs the frame.
-    pub workload: Workload,
-    /// Window size `N` (window workload) or packing segment length
-    /// (integral workload).
+    /// Window size `N`.
     pub window: usize,
-    /// Lossy threshold `T` (0 = lossless; ignored by the integral engine).
+    /// Lossy threshold `T` (0 = lossless).
     pub threshold: Coeff,
     /// Which sub-bands the threshold applies to.
     pub policy: ThresholdPolicy,
@@ -125,7 +120,7 @@ pub struct JobSpec {
     /// The hot-path tag of protocol v1/v2 requests. Carried for wire
     /// compatibility; not read: every job runs the bit-sliced kernels.
     pub hot_path: HotPath,
-    /// The served kernel (window workload only).
+    /// The served kernel.
     pub kernel: JobKernel,
     /// Strip parallelism: 0 or 1 = one strip, ≥ 2 =
     /// [`sw_core::shard::DEFAULT_STRIPS`] strips (no other value is read).
@@ -139,7 +134,6 @@ pub struct JobSpec {
 impl Default for JobSpec {
     fn default() -> Self {
         Self {
-            workload: Workload::Window,
             window: 8,
             threshold: 0,
             policy: ThresholdPolicy::default(),
@@ -200,7 +194,7 @@ impl JobSpec {
     }
 
     fn encode_into(&self, w: &mut ByteWriter) {
-        w.put_u8(workload_tag(self.workload));
+        w.put_u8(WORKLOAD_WINDOW);
         w.put_u32(self.window as u32);
         w.put_i16(self.threshold);
         w.put_u8(policy_tag(self.policy));
@@ -218,7 +212,7 @@ impl JobSpec {
     }
 
     fn decode_from(rd: &mut ByteReader<'_>) -> Result<Self, WireError> {
-        let workload = workload_from_tag(rd.get_u8()?)?;
+        check_workload(rd.get_u8()?)?;
         let window = rd.get_u32()? as usize;
         let threshold = rd.get_i16()?;
         let policy = policy_from_tag(rd.get_u8()?)?;
@@ -245,7 +239,6 @@ impl JobSpec {
             )));
         }
         Ok(Self {
-            workload,
             window,
             threshold,
             policy,
@@ -539,16 +532,13 @@ impl RowAck {
 /// What the daemon reports back for one completed job.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobResponse {
-    /// Which engine ran.
-    pub workload: Workload,
-    /// FNV-1a 64 digest of the output: the processed image (window
-    /// workload) or the reconstructed integral lines (integral workload).
-    /// This is the served-vs-local conformance contract.
+    /// FNV-1a 64 digest of the processed image. This is the
+    /// served-vs-local conformance contract.
     pub digest: u64,
-    /// Digest over the full `FrameStats` field vector (window workload,
-    /// sequential runs; 0 otherwise).
+    /// Digest over the full `FrameStats` field vector (sequential runs;
+    /// 0 otherwise).
     pub stats_digest: u64,
-    /// Output width (window: `W − N + 1`; integral: `W`).
+    /// Output width (`W − N + 1`).
     pub out_width: u32,
     /// Output height.
     pub out_height: u32,
@@ -584,7 +574,7 @@ impl JobResponse {
     /// [`crate::wire::MsgKind::JobOk`] frame).
     pub fn encode(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
-        w.put_u8(workload_tag(self.workload));
+        w.put_u8(WORKLOAD_WINDOW);
         w.put_u64(self.digest);
         w.put_u64(self.stats_digest);
         w.put_u32(self.out_width);
@@ -613,7 +603,7 @@ impl JobResponse {
     /// Decode a canonical encoding.
     pub fn decode(bytes: &[u8]) -> Result<Self, WireError> {
         let mut rd = ByteReader::new(bytes);
-        let workload = workload_from_tag(rd.get_u8()?)?;
+        check_workload(rd.get_u8()?)?;
         let digest = rd.get_u64()?;
         let stats_digest = rd.get_u64()?;
         let out_width = rd.get_u32()?;
@@ -650,7 +640,6 @@ impl JobResponse {
         };
         rd.finish()?;
         Ok(Self {
-            workload,
             digest,
             stats_digest,
             out_width,
@@ -775,21 +764,19 @@ impl std::error::Error for JobError {}
 // Enum ↔ wire tags. Tags are explicit (not discriminants) so reordering a
 // Rust enum can never silently change the wire format.
 
-fn workload_tag(w: Workload) -> u8 {
-    match w {
-        Workload::Window => 0,
-        Workload::Integral => 1,
-    }
-}
+/// The v1/v2 workload byte: reserved, always written as 0 (the sliding
+/// window). Tag 1 named the retired integral-image workload; every
+/// non-zero byte is rejected.
+const WORKLOAD_WINDOW: u8 = 0;
 
-fn workload_from_tag(t: u8) -> Result<Workload, WireError> {
-    match t {
-        0 => Ok(Workload::Window),
-        1 => Ok(Workload::Integral),
-        t => Err(WireError::BadTag {
+fn check_workload(t: u8) -> Result<(), WireError> {
+    if t == WORKLOAD_WINDOW {
+        Ok(())
+    } else {
+        Err(WireError::BadTag {
             what: "workload",
             tag: u32::from(t),
-        }),
+        })
     }
 }
 
@@ -868,7 +855,6 @@ pub struct JobSpecBuilder {
     window: Option<usize>,
     threshold: Option<Coeff>,
     policy: Option<ThresholdPolicy>,
-    workload: Option<Workload>,
     codec: Option<LineCodecKind>,
     kernel: Option<JobKernel>,
     jobs: Option<usize>,
@@ -891,7 +877,6 @@ impl JobSpecBuilder {
             "--window" => self.set_window(value),
             "--threshold" => self.set_threshold(value),
             "--policy" => self.set_policy(value),
-            "--workload" => self.set_workload(value),
             "--codec" => self.set_codec(value),
             "--kernel" => self.set_kernel(value),
             "--jobs" => self.set_jobs(value),
@@ -917,15 +902,6 @@ impl JobSpecBuilder {
     pub fn set_policy(&mut self, v: &str) -> Result<(), String> {
         self.policy =
             Some(ThresholdPolicy::parse(v).ok_or_else(|| format!("unknown policy '{v}'"))?);
-        Ok(())
-    }
-
-    /// Parse `--workload`.
-    pub fn set_workload(&mut self, v: &str) -> Result<(), String> {
-        self.workload = Some(
-            Workload::parse(v)
-                .ok_or_else(|| format!("unknown workload '{v}' (window, integral)"))?,
-        );
         Ok(())
     }
 
@@ -996,18 +972,12 @@ impl JobSpecBuilder {
             "--window"
                 | "--threshold"
                 | "--policy"
-                | "--workload"
                 | "--codec"
                 | "--kernel"
                 | "--jobs"
                 | "--overflow-policy"
                 | "--budget-fraction"
         )
-    }
-
-    /// The workload (window when unset).
-    pub fn workload(&self) -> Workload {
-        self.workload.unwrap_or_default()
     }
 
     /// The codec (Haar when unset).
@@ -1049,7 +1019,6 @@ impl JobSpecBuilder {
             return Err("--window must be an even integer >= 2".into());
         }
         Ok(JobSpec {
-            workload: self.workload(),
             window,
             threshold: self.threshold(),
             policy: self.policy.unwrap_or_default(),
@@ -1071,7 +1040,6 @@ mod tests {
         JobRequest {
             tenant: "tenant-a".into(),
             spec: JobSpec {
-                workload: Workload::Window,
                 window: 8,
                 threshold: 4,
                 policy: ThresholdPolicy::AllSubbands,
@@ -1104,7 +1072,6 @@ mod tests {
     #[test]
     fn response_round_trips() {
         let resp = JobResponse {
-            workload: Workload::Integral,
             digest: 0xdead_beef_cafe_f00d,
             stats_digest: 7,
             out_width: 57,
@@ -1162,7 +1129,6 @@ mod tests {
             ("--window", "8"),
             ("--threshold", "4"),
             ("--policy", "all"),
-            ("--workload", "window"),
             ("--codec", "legall"),
             ("--kernel", "box"),
             ("--jobs", "4"),

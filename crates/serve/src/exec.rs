@@ -15,7 +15,6 @@ use crate::api::{FramePayload, JobError, JobRequest, JobResponse, JobSpec, Strea
 use sw_core::arch::{build_arch, SlidingWindowArch};
 use sw_core::config::ArchConfig;
 use sw_core::digest::{image_digest, stats_digest};
-use sw_core::integral::{analyze_integral, IntegralConfig, Workload};
 use sw_core::kernels::WindowKernel;
 use sw_core::shard::{ShardedFrameRunner, ShardedOutput, DEFAULT_STRIPS};
 use sw_image::{mse, ImageU8};
@@ -26,7 +25,7 @@ use sw_telemetry::TelemetryHandle;
 ///
 /// The response's `queue_ns` and `degraded` fields belong to admission
 /// control and are left at their zero values here; the daemon fills them
-/// in after the fact. Window jobs with `spec.jobs <= 1` run as one strip
+/// in after the fact. Jobs with `spec.jobs <= 1` run as one strip
 /// (and report the full [`sw_core::FrameStats`] digest); larger values run
 /// [`DEFAULT_STRIPS`] strips on `pool`. The image digest is the
 /// conformance contract at every job count.
@@ -43,57 +42,12 @@ pub fn execute(
     tele: &TelemetryHandle,
 ) -> Result<JobResponse, JobError> {
     let img = req.frame.image();
-    match req.spec.workload {
-        Workload::Integral => execute_integral(req, &img, pool),
-        Workload::Window => execute_window(req, &img, pool, tele),
-    }
-}
-
-fn execute_integral(
-    req: &JobRequest,
-    img: &ImageU8,
-    pool: &ThreadPool,
-) -> Result<JobResponse, JobError> {
-    let cfg = IntegralConfig {
-        segment: req.spec.window,
-    };
-    let started = Instant::now();
-    let r = analyze_integral(img, &cfg, pool).map_err(|e| JobError::from_sw(&e))?;
-    Ok(JobResponse {
-        workload: Workload::Integral,
-        digest: r.digest,
-        stats_digest: 0,
-        out_width: r.width as u32,
-        out_height: r.height as u32,
-        effective_threshold: 0,
-        degraded: false,
-        t_escalations: 0,
-        stall_cycles: 0,
-        overflow_events: 0,
-        peak_payload_occupancy: r.peak_line_bits,
-        management_bits: r.management_bits_per_line,
-        memory_saving_pct: r.memory_saving_pct(),
-        mse: 0.0,
-        queue_ns: 0,
-        exec_ns: started.elapsed().as_nanos() as u64,
-        // The integral engine reconstructs 32-bit lines, not a u8 frame;
-        // the digest is its conformance artifact.
-        frame: None,
-    })
-}
-
-fn execute_window(
-    req: &JobRequest,
-    img: &ImageU8,
-    pool: &ThreadPool,
-    tele: &TelemetryHandle,
-) -> Result<JobResponse, JobError> {
     let spec = &req.spec;
     let cfg = spec
         .arch_config(img.width())
         .map_err(|e| JobError::from_sw(&e))?;
     let mu = spec
-        .memory_unit(img, &cfg)
+        .memory_unit(&img, &cfg)
         .map_err(|e| JobError::from_sw(&e))?;
     let kernel = spec.kernel.build(spec.window);
 
@@ -105,22 +59,16 @@ fn execute_window(
         runner = runner.with_memory_unit(mu);
     }
     let out = runner
-        .run(img, kernel.as_ref(), pool)
+        .run(&img, kernel.as_ref(), pool)
         .map_err(|e| JobError::from_sw(&e))?;
     let exec_ns = started.elapsed().as_nanos() as u64;
-    Ok(window_response(
-        spec,
-        out,
-        Some(img),
-        req.want_frame,
-        exec_ns,
-    ))
+    Ok(response(spec, out, Some(&img), req.want_frame, exec_ns))
 }
 
-/// The response to a window job that produced `out`. `input` is the
+/// The response to a job that produced `out`. `input` is the
 /// frame the MSE is measured against; only lossy runs read it, so a
 /// lossless live stream keeps no copy and passes `None`.
-fn window_response(
+fn response(
     spec: &JobSpec,
     out: ShardedOutput,
     input: Option<&ImageU8>,
@@ -145,7 +93,6 @@ fn window_response(
         None => (0, out.peak_payload_occupancy, 0, 0.0),
     };
     JobResponse {
-        workload: Workload::Window,
         digest: image_digest(&image),
         stats_digest: stats_dg,
         out_width: image.width() as u32,
@@ -176,9 +123,9 @@ fn window_response(
 ///   lossless probe and K strips need their full strips, so neither can
 ///   start before the last row.
 /// - **Buffered**: rows accumulate and the whole-frame [`execute`] path
-///   runs at [`finish`]. This is how *every* job spec — sharded,
-///   memory-unit-budgeted, integral — is streamable with byte-identical
-///   results to its whole-frame twin.
+///   runs at [`finish`]. This is how *every* job spec — sharded or
+///   memory-unit-budgeted — is streamable with byte-identical results to
+///   its whole-frame twin.
 ///
 /// Either way the response is indistinguishable from the equivalent
 /// [`JobRequest`]: same digests, same stats, same frame bytes.
@@ -217,26 +164,22 @@ impl StreamRun {
         let spec = &open.spec;
         // Validate the geometry up front so a bad spec fails at open time
         // in both modes, not after the last row.
-        let cfg = match spec.workload {
-            Workload::Window => Some(spec.arch_config(width).map_err(|e| JobError::from_sw(&e))?),
-            Workload::Integral => None,
-        };
-        let mode = match cfg {
-            Some(cfg) if spec.jobs <= 1 && spec.overflow_policy.is_none() => {
-                let mut arch = build_arch(&cfg).map_err(|e| JobError::from_sw(&e))?;
-                arch.bind_telemetry(tele, "serve");
-                arch.begin_frame(height)
-                    .map_err(|e| JobError::from_sw(&e))?;
-                StreamMode::Live {
-                    cfg,
-                    arch,
-                    kernel: spec.kernel.build(spec.window),
-                    input_copy: (spec.threshold > 0).then(|| Vec::with_capacity(width * height)),
-                }
+        let cfg = spec.arch_config(width).map_err(|e| JobError::from_sw(&e))?;
+        let mode = if spec.jobs <= 1 && spec.overflow_policy.is_none() {
+            let mut arch = build_arch(&cfg).map_err(|e| JobError::from_sw(&e))?;
+            arch.bind_telemetry(tele, "serve");
+            arch.begin_frame(height)
+                .map_err(|e| JobError::from_sw(&e))?;
+            StreamMode::Live {
+                cfg,
+                arch,
+                kernel: spec.kernel.build(spec.window),
+                input_copy: (spec.threshold > 0).then(|| Vec::with_capacity(width * height)),
             }
-            _ => StreamMode::Buffered {
+        } else {
+            StreamMode::Buffered {
                 pixels: Vec::with_capacity(width * height),
-            },
+            }
         };
         Ok(Self {
             tenant: open.tenant.clone(),
@@ -330,7 +273,7 @@ impl StreamRun {
             } => {
                 let out = arch.finish_frame().map_err(|e| JobError::from_sw(&e))?;
                 let input = input_copy.map(|copy| ImageU8::from_vec(width, height, copy));
-                Ok(window_response(
+                Ok(response(
                     &spec,
                     ShardedOutput::from_frame(&cfg, out),
                     input.as_ref(),
@@ -424,9 +367,8 @@ mod tests {
     /// Every response field except the timings.
     fn fingerprint(r: &JobResponse) -> String {
         format!(
-            "{:?} {:#018x} {:#018x} {}x{} T{} degraded={} esc={} stall={} ovf={} \
+            "{:#018x} {:#018x} {}x{} T{} degraded={} esc={} stall={} ovf={} \
              peak={} mgmt={} saving={:?} mse={:?} frame={:?}",
-            r.workload,
             r.digest,
             r.stats_digest,
             r.out_width,
@@ -451,30 +393,30 @@ mod tests {
     /// branches. The `jobs=2` rows pin the sharded path's documented
     /// zeros (`stats_digest`, `management_bits`, `memory_saving_pct`).
     const CHARACTERIZATION: [&str; 24] = [
-        "jobs=0 none haar T0: Window 0x3633139bc1cb5b32 0x84c1867a6ec6a8e8 57x41 T0 degraded=false esc=0 stall=0 ovf=0 peak=3067 mgmt=896 saving=-10.57477678571428 mse=0.0 frame=Some(\"0x3633139bc1cb5b32\")",
-        "jobs=0 none haar T4: Window 0x4f9912a3fa5303b2 0x372763d34c0bb8e9 57x41 T4 degraded=false esc=0 stall=0 ovf=0 peak=2674 mgmt=896 saving=0.390625 mse=2.3388960205391527 frame=Some(\"0x4f9912a3fa5303b2\")",
-        "jobs=0 none raw T0: Window 0x3633139bc1cb5b32 0x916acc0601f29505 57x41 T0 degraded=false esc=0 stall=0 ovf=0 peak=3136 mgmt=0 saving=0.0 mse=0.0 frame=Some(\"0x3633139bc1cb5b32\")",
-        "jobs=0 none legall T2: Window 0x4e8d13005a68ca4e 0xe4767ba8b54142c8 57x41 T2 degraded=false esc=0 stall=0 ovf=0 peak=3420 mgmt=896 saving=-20.42410714285714 mse=0.1985451433461703 frame=Some(\"0x4e8d13005a68ca4e\")",
-        "jobs=0 stall haar T0: Window 0x3633139bc1cb5b32 0x84c1867a6ec6a8e8 57x41 T0 degraded=false esc=0 stall=0 ovf=0 peak=3067 mgmt=896 saving=-10.57477678571428 mse=0.0 frame=Some(\"0x3633139bc1cb5b32\")",
-        "jobs=0 stall haar T4: Window 0x4f9912a3fa5303b2 0x372763d34c0bb8e9 57x41 T4 degraded=false esc=0 stall=0 ovf=0 peak=2674 mgmt=896 saving=0.390625 mse=2.3388960205391527 frame=Some(\"0x4f9912a3fa5303b2\")",
-        "jobs=0 stall raw T0: Window 0x3633139bc1cb5b32 0x916acc0601f29505 57x41 T0 degraded=false esc=0 stall=0 ovf=0 peak=3136 mgmt=0 saving=0.0 mse=0.0 frame=Some(\"0x3633139bc1cb5b32\")",
-        "jobs=0 stall legall T2: Window 0x4e8d13005a68ca4e 0xe4767ba8b54142c8 57x41 T2 degraded=false esc=0 stall=0 ovf=0 peak=3420 mgmt=896 saving=-20.42410714285714 mse=0.1985451433461703 frame=Some(\"0x4e8d13005a68ca4e\")",
-        "jobs=0 degrade haar T0: Window 0x3633139bc1cb5b32 0x84c1867a6ec6a8e8 57x41 T0 degraded=false esc=0 stall=0 ovf=0 peak=3067 mgmt=896 saving=-10.57477678571428 mse=0.0 frame=Some(\"0x3633139bc1cb5b32\")",
-        "jobs=0 degrade haar T4: Window 0x4f9912a3fa5303b2 0x372763d34c0bb8e9 57x41 T4 degraded=false esc=0 stall=0 ovf=0 peak=2674 mgmt=896 saving=0.390625 mse=2.3388960205391527 frame=Some(\"0x4f9912a3fa5303b2\")",
-        "jobs=0 degrade raw T0: Window 0x3633139bc1cb5b32 0x916acc0601f29505 57x41 T0 degraded=false esc=0 stall=0 ovf=0 peak=3136 mgmt=0 saving=0.0 mse=0.0 frame=Some(\"0x3633139bc1cb5b32\")",
-        "jobs=0 degrade legall T2: Window 0x4e8d13005a68ca4e 0xe4767ba8b54142c8 57x41 T2 degraded=false esc=0 stall=0 ovf=0 peak=3420 mgmt=896 saving=-20.42410714285714 mse=0.1985451433461703 frame=Some(\"0x4e8d13005a68ca4e\")",
-        "jobs=2 none haar T0: Window 0x3633139bc1cb5b32 0x0000000000000000 57x41 T0 degraded=false esc=0 stall=0 ovf=0 peak=3239 mgmt=0 saving=0.0 mse=0.0 frame=Some(\"0x3633139bc1cb5b32\")",
-        "jobs=2 none haar T4: Window 0xdd133d609838189d 0x0000000000000000 57x41 T4 degraded=false esc=0 stall=0 ovf=0 peak=2792 mgmt=0 saving=0.0 mse=2.41206675224647 frame=Some(\"0xdd133d609838189d\")",
-        "jobs=2 none raw T0: Window 0x3633139bc1cb5b32 0x0000000000000000 57x41 T0 degraded=false esc=0 stall=0 ovf=0 peak=0 mgmt=0 saving=0.0 mse=0.0 frame=Some(\"0x3633139bc1cb5b32\")",
-        "jobs=2 none legall T2: Window 0x13dd5fb9a9b94700 0x0000000000000000 57x41 T2 degraded=false esc=0 stall=0 ovf=0 peak=3696 mgmt=0 saving=0.0 mse=0.1600342319212666 frame=Some(\"0x13dd5fb9a9b94700\")",
-        "jobs=2 stall haar T0: Window 0x3633139bc1cb5b32 0x0000000000000000 57x41 T0 degraded=false esc=0 stall=127572 ovf=0 peak=3239 mgmt=0 saving=0.0 mse=0.0 frame=Some(\"0x3633139bc1cb5b32\")",
-        "jobs=2 stall haar T4: Window 0xdd133d609838189d 0x0000000000000000 57x41 T4 degraded=false esc=0 stall=104926 ovf=0 peak=2792 mgmt=0 saving=0.0 mse=2.41206675224647 frame=Some(\"0xdd133d609838189d\")",
-        "jobs=2 stall raw T0: Window 0x3633139bc1cb5b32 0x0000000000000000 57x41 T0 degraded=false esc=0 stall=428176 ovf=0 peak=0 mgmt=0 saving=0.0 mse=0.0 frame=Some(\"0x3633139bc1cb5b32\")",
-        "jobs=2 stall legall T2: Window 0x13dd5fb9a9b94700 0x0000000000000000 57x41 T2 degraded=false esc=0 stall=341682 ovf=0 peak=3696 mgmt=0 saving=0.0 mse=0.1600342319212666 frame=Some(\"0x13dd5fb9a9b94700\")",
-        "jobs=2 degrade haar T0: Window 0xf90d91f82696dc53 0x0000000000000000 57x41 T0 degraded=false esc=128 stall=0 ovf=2565 peak=1508 mgmt=0 saving=0.0 mse=76.59007274283269 frame=Some(\"0xf90d91f82696dc53\")",
-        "jobs=2 degrade haar T4: Window 0xe79ed2e13b382e70 0x0000000000000000 57x41 T4 degraded=false esc=96 stall=0 ovf=2547 peak=1520 mgmt=0 saving=0.0 mse=76.36371416345743 frame=Some(\"0xe79ed2e13b382e70\")",
-        "jobs=2 degrade raw T0: Window 0x3633139bc1cb5b32 0x0000000000000000 57x41 T0 degraded=false esc=0 stall=0 ovf=6128 peak=0 mgmt=0 saving=0.0 mse=0.0 frame=Some(\"0x3633139bc1cb5b32\")",
-        "jobs=2 degrade legall T2: Window 0xbfb32d6850521044 0x0000000000000000 57x41 T2 degraded=false esc=112 stall=0 ovf=5827 peak=2709 mgmt=0 saving=0.0 mse=49.78348309798888 frame=Some(\"0xbfb32d6850521044\")",
+        "jobs=0 none haar T0: 0x3633139bc1cb5b32 0x84c1867a6ec6a8e8 57x41 T0 degraded=false esc=0 stall=0 ovf=0 peak=3067 mgmt=896 saving=-10.57477678571428 mse=0.0 frame=Some(\"0x3633139bc1cb5b32\")",
+        "jobs=0 none haar T4: 0x4f9912a3fa5303b2 0x372763d34c0bb8e9 57x41 T4 degraded=false esc=0 stall=0 ovf=0 peak=2674 mgmt=896 saving=0.390625 mse=2.3388960205391527 frame=Some(\"0x4f9912a3fa5303b2\")",
+        "jobs=0 none raw T0: 0x3633139bc1cb5b32 0x916acc0601f29505 57x41 T0 degraded=false esc=0 stall=0 ovf=0 peak=3136 mgmt=0 saving=0.0 mse=0.0 frame=Some(\"0x3633139bc1cb5b32\")",
+        "jobs=0 none legall T2: 0x4e8d13005a68ca4e 0xe4767ba8b54142c8 57x41 T2 degraded=false esc=0 stall=0 ovf=0 peak=3420 mgmt=896 saving=-20.42410714285714 mse=0.1985451433461703 frame=Some(\"0x4e8d13005a68ca4e\")",
+        "jobs=0 stall haar T0: 0x3633139bc1cb5b32 0x84c1867a6ec6a8e8 57x41 T0 degraded=false esc=0 stall=0 ovf=0 peak=3067 mgmt=896 saving=-10.57477678571428 mse=0.0 frame=Some(\"0x3633139bc1cb5b32\")",
+        "jobs=0 stall haar T4: 0x4f9912a3fa5303b2 0x372763d34c0bb8e9 57x41 T4 degraded=false esc=0 stall=0 ovf=0 peak=2674 mgmt=896 saving=0.390625 mse=2.3388960205391527 frame=Some(\"0x4f9912a3fa5303b2\")",
+        "jobs=0 stall raw T0: 0x3633139bc1cb5b32 0x916acc0601f29505 57x41 T0 degraded=false esc=0 stall=0 ovf=0 peak=3136 mgmt=0 saving=0.0 mse=0.0 frame=Some(\"0x3633139bc1cb5b32\")",
+        "jobs=0 stall legall T2: 0x4e8d13005a68ca4e 0xe4767ba8b54142c8 57x41 T2 degraded=false esc=0 stall=0 ovf=0 peak=3420 mgmt=896 saving=-20.42410714285714 mse=0.1985451433461703 frame=Some(\"0x4e8d13005a68ca4e\")",
+        "jobs=0 degrade haar T0: 0x3633139bc1cb5b32 0x84c1867a6ec6a8e8 57x41 T0 degraded=false esc=0 stall=0 ovf=0 peak=3067 mgmt=896 saving=-10.57477678571428 mse=0.0 frame=Some(\"0x3633139bc1cb5b32\")",
+        "jobs=0 degrade haar T4: 0x4f9912a3fa5303b2 0x372763d34c0bb8e9 57x41 T4 degraded=false esc=0 stall=0 ovf=0 peak=2674 mgmt=896 saving=0.390625 mse=2.3388960205391527 frame=Some(\"0x4f9912a3fa5303b2\")",
+        "jobs=0 degrade raw T0: 0x3633139bc1cb5b32 0x916acc0601f29505 57x41 T0 degraded=false esc=0 stall=0 ovf=0 peak=3136 mgmt=0 saving=0.0 mse=0.0 frame=Some(\"0x3633139bc1cb5b32\")",
+        "jobs=0 degrade legall T2: 0x4e8d13005a68ca4e 0xe4767ba8b54142c8 57x41 T2 degraded=false esc=0 stall=0 ovf=0 peak=3420 mgmt=896 saving=-20.42410714285714 mse=0.1985451433461703 frame=Some(\"0x4e8d13005a68ca4e\")",
+        "jobs=2 none haar T0: 0x3633139bc1cb5b32 0x0000000000000000 57x41 T0 degraded=false esc=0 stall=0 ovf=0 peak=3239 mgmt=0 saving=0.0 mse=0.0 frame=Some(\"0x3633139bc1cb5b32\")",
+        "jobs=2 none haar T4: 0xdd133d609838189d 0x0000000000000000 57x41 T4 degraded=false esc=0 stall=0 ovf=0 peak=2792 mgmt=0 saving=0.0 mse=2.41206675224647 frame=Some(\"0xdd133d609838189d\")",
+        "jobs=2 none raw T0: 0x3633139bc1cb5b32 0x0000000000000000 57x41 T0 degraded=false esc=0 stall=0 ovf=0 peak=0 mgmt=0 saving=0.0 mse=0.0 frame=Some(\"0x3633139bc1cb5b32\")",
+        "jobs=2 none legall T2: 0x13dd5fb9a9b94700 0x0000000000000000 57x41 T2 degraded=false esc=0 stall=0 ovf=0 peak=3696 mgmt=0 saving=0.0 mse=0.1600342319212666 frame=Some(\"0x13dd5fb9a9b94700\")",
+        "jobs=2 stall haar T0: 0x3633139bc1cb5b32 0x0000000000000000 57x41 T0 degraded=false esc=0 stall=127572 ovf=0 peak=3239 mgmt=0 saving=0.0 mse=0.0 frame=Some(\"0x3633139bc1cb5b32\")",
+        "jobs=2 stall haar T4: 0xdd133d609838189d 0x0000000000000000 57x41 T4 degraded=false esc=0 stall=104926 ovf=0 peak=2792 mgmt=0 saving=0.0 mse=2.41206675224647 frame=Some(\"0xdd133d609838189d\")",
+        "jobs=2 stall raw T0: 0x3633139bc1cb5b32 0x0000000000000000 57x41 T0 degraded=false esc=0 stall=428176 ovf=0 peak=0 mgmt=0 saving=0.0 mse=0.0 frame=Some(\"0x3633139bc1cb5b32\")",
+        "jobs=2 stall legall T2: 0x13dd5fb9a9b94700 0x0000000000000000 57x41 T2 degraded=false esc=0 stall=341682 ovf=0 peak=3696 mgmt=0 saving=0.0 mse=0.1600342319212666 frame=Some(\"0x13dd5fb9a9b94700\")",
+        "jobs=2 degrade haar T0: 0xf90d91f82696dc53 0x0000000000000000 57x41 T0 degraded=false esc=128 stall=0 ovf=2565 peak=1508 mgmt=0 saving=0.0 mse=76.59007274283269 frame=Some(\"0xf90d91f82696dc53\")",
+        "jobs=2 degrade haar T4: 0xe79ed2e13b382e70 0x0000000000000000 57x41 T4 degraded=false esc=96 stall=0 ovf=2547 peak=1520 mgmt=0 saving=0.0 mse=76.36371416345743 frame=Some(\"0xe79ed2e13b382e70\")",
+        "jobs=2 degrade raw T0: 0x3633139bc1cb5b32 0x0000000000000000 57x41 T0 degraded=false esc=0 stall=0 ovf=6128 peak=0 mgmt=0 saving=0.0 mse=0.0 frame=Some(\"0x3633139bc1cb5b32\")",
+        "jobs=2 degrade legall T2: 0xbfb32d6850521044 0x0000000000000000 57x41 T2 degraded=false esc=112 stall=0 ovf=5827 peak=2709 mgmt=0 saving=0.0 mse=49.78348309798888 frame=Some(\"0xbfb32d6850521044\")",
     ];
 
     #[test]
@@ -566,7 +508,7 @@ mod tests {
         let pool = ThreadPool::new(4);
         let tele = TelemetryHandle::disabled();
         // (spec, expect live datapath): lossless live, lossy live,
-        // sharded buffered, integral buffered.
+        // sharded buffered.
         let cases = [
             (JobSpec::default(), true),
             (
@@ -579,14 +521,6 @@ mod tests {
             (
                 JobSpec {
                     jobs: 4,
-                    ..JobSpec::default()
-                },
-                false,
-            ),
-            (
-                JobSpec {
-                    workload: Workload::Integral,
-                    window: 8,
                     ..JobSpec::default()
                 },
                 false,
@@ -640,24 +574,5 @@ mod tests {
             run.finish(&pool, &tele),
             Err(JobError::Malformed(_))
         ));
-    }
-
-    #[test]
-    fn integral_jobs_report_the_wide_line_accounting() {
-        let img = test_image(64, 32);
-        let pool = ThreadPool::new(2);
-        let req = request(
-            JobSpec {
-                workload: Workload::Integral,
-                window: 8,
-                ..JobSpec::default()
-            },
-            &img,
-        );
-        let r = execute(&req, &pool, &TelemetryHandle::disabled()).unwrap();
-        assert_eq!((r.out_width, r.out_height), (64, 32));
-        assert!(r.digest != 0);
-        assert!(r.peak_payload_occupancy > 0);
-        assert!(r.frame.is_none());
     }
 }

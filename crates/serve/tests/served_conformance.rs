@@ -1,16 +1,19 @@
 //! Served-vs-local conformance: a daemon round trip must reproduce the
-//! blessed golden digests bit-for-bit — window and integral workloads,
-//! under either hot-path wire tag. The corpus is loaded back through
+//! blessed golden digests bit-for-bit, under either hot-path wire tag. The corpus is loaded back through
 //! [`sw_conformance::golden_window_digests`], mapped onto the typed job
 //! API, and replayed over a real socket; any divergence means the wire
 //! codec, the daemon dispatch, or the executor broke the contract that
 //! serving is *transport*, never a second execution semantics.
 
 use sw_bitstream::HotPath;
-use sw_conformance::corpus::{golden_integral_digests, golden_window_digests, GoldenDigest};
+use sw_conformance::corpus::{golden_window_digests, GoldenDigest};
 use sw_conformance::{default_vectors_dir, CaseSpec};
+use sw_serve::api::StreamOpen;
 use sw_serve::api::{FramePayload, JobKernel};
-use sw_serve::{Client, Daemon, DaemonConfig, JobRequest, JobResponse, JobSpec, Listen};
+use sw_serve::{
+    Client, Daemon, DaemonConfig, JobError, JobRequest, JobResponse, JobSpec, Listen, MsgKind,
+    MIN_VERSION, VERSION,
+};
 
 /// Map one corpus case onto the job API, sending `hot_path` as the wire
 /// tag. `None` for cases the serving surface does not carry (fault
@@ -22,7 +25,6 @@ fn request_for(spec: &CaseSpec, hot_path: HotPath) -> Option<JobRequest> {
     Some(JobRequest {
         tenant: "conformance".into(),
         spec: JobSpec {
-            workload: spec.workload,
             window: spec.window,
             threshold: spec.threshold,
             codec: spec.codec,
@@ -95,9 +97,8 @@ fn replay_streamed(client: &mut Client, golden: &[GoldenDigest], hot_path: HotPa
 fn daemon_round_trip_reproduces_the_golden_corpus() {
     let dir = default_vectors_dir();
     let window = golden_window_digests(&dir).expect("vectors readable");
-    let integral = golden_integral_digests(&dir).expect("vectors readable");
     assert!(
-        !window.is_empty() && !integral.is_empty(),
+        !window.is_empty(),
         "blessed corpus missing — the golden digests are the test input"
     );
 
@@ -127,11 +128,6 @@ fn daemon_round_trip_reproduces_the_golden_corpus() {
         scalar > 50,
         "expected the lossless subset, got {scalar} cells"
     );
-
-    for hp in HotPath::ALL {
-        let n = replay(&mut client, &integral, hp);
-        assert_eq!(n, integral.len(), "integral corpus must replay fully");
-    }
 }
 
 #[test]
@@ -171,36 +167,37 @@ fn streamed_round_trip_reproduces_the_golden_corpus() {
         scalar > 50,
         "expected the lossless subset streamed, got {scalar} cells"
     );
+}
 
-    // The integral workload streams through the buffered path.
-    let integral = golden_integral_digests(&dir).expect("vectors readable");
-    let n = replay_streamed(&mut client, &integral, HotPath::Sliced);
-    assert_eq!(n, integral.len(), "integral corpus must stream fully");
+/// Send one `kind` frame at `version` on a fresh raw socket and return
+/// the daemon's first reply frame.
+fn exchange(addr: &str, kind: MsgKind, payload: &[u8], version: u16) -> (MsgKind, u16, Vec<u8>) {
+    use std::io::Read;
+    use sw_serve::wire::write_frame_versioned;
+    use sw_serve::FrameAssembler;
+
+    let mut s = std::net::TcpStream::connect(addr).expect("raw connect");
+    s.set_read_timeout(Some(std::time::Duration::from_secs(30)))
+        .expect("read timeout");
+    write_frame_versioned(&mut s, kind, payload, version).expect("frame written");
+    let mut asm = FrameAssembler::new();
+    let mut buf = [0u8; 4096];
+    loop {
+        let n = s.read(&mut buf).expect("daemon reply");
+        assert!(n > 0, "daemon hung up on a {kind:?} frame");
+        asm.push(&buf[..n]);
+        if let Some(frame) = asm.next_frame().expect("well-framed reply") {
+            return frame;
+        }
+    }
 }
 
 /// Submit `req` as a strict protocol-v1 whole-frame job on a raw socket
 /// and decode the reply, asserting the daemon answered in the v1 dialect.
 fn submit_v1(addr: &str, req: &JobRequest) -> JobResponse {
-    use std::io::{Read, Write};
-    use sw_serve::wire::write_frame_versioned;
-    use sw_serve::{FrameAssembler, MsgKind, MIN_VERSION};
-
-    let mut s = std::net::TcpStream::connect(addr).expect("raw connect");
-    write_frame_versioned(&mut s, MsgKind::Job, &req.encode(), MIN_VERSION).expect("v1 frame");
-    let mut asm = FrameAssembler::new();
-    let mut buf = [0u8; 4096];
-    let reply = loop {
-        let n = s.read(&mut buf).expect("daemon reply");
-        assert!(n > 0, "daemon hung up on a v1 job");
-        asm.push(&buf[..n]);
-        if let Some(frame) = asm.next_frame().expect("well-framed reply") {
-            break frame;
-        }
-    };
-    let (kind, version, payload) = reply;
+    let (kind, version, payload) = exchange(addr, MsgKind::Job, &req.encode(), MIN_VERSION);
     assert_eq!(kind, MsgKind::JobOk);
     assert_eq!(version, MIN_VERSION, "the reply must echo the v1 dialect");
-    let _ = s.flush();
     JobResponse::decode(&payload).expect("v1 response decodes")
 }
 
@@ -243,14 +240,13 @@ fn hot_path_wire_tags_are_accepted_and_ignored() {
     // land on the digest a local `exec::execute` computes.
     let dir = default_vectors_dir();
     let window = golden_window_digests(&dir).expect("vectors readable");
-    let integral = golden_integral_digests(&dir).expect("vectors readable");
     let lossless = window
         .iter()
         .find(|g| g.spec.threshold == 0 && g.spec.policy.is_none() && g.spec.fault_seed.is_none());
     let lossy = window
         .iter()
         .find(|g| g.spec.threshold > 0 && g.spec.policy.is_none() && g.spec.fault_seed.is_none());
-    let cases: Vec<&GoldenDigest> = [lossless, lossy, integral.first()]
+    let cases: Vec<&GoldenDigest> = [lossless, lossy]
         .into_iter()
         .map(|g| g.expect("servable golden case of every kind"))
         .collect();
@@ -304,4 +300,59 @@ fn hot_path_wire_tags_are_accepted_and_ignored() {
             "tag {tag} must be rejected"
         );
     }
+}
+
+#[test]
+fn retired_workload_byte_gets_a_typed_malformed_reply() {
+    // The v1/v2 workload byte leads the spec (right after the
+    // u32-length-prefixed tenant). Tag 1 named the retired integral
+    // workload: a v1 job, a v2 job and a v2 StreamOpen carrying it must
+    // each get a well-formed `Malformed` reply naming the tag — never a
+    // hang or a desync — and the daemon keeps serving.
+    let dir = default_vectors_dir();
+    let window = golden_window_digests(&dir).expect("vectors readable");
+    let (req, want_digest) = window
+        .iter()
+        .find_map(|g| request_for(&g.spec, HotPath::Sliced).map(|req| (req, g.digest)))
+        .expect("at least one servable golden case");
+    let at = 4 + req.tenant.len();
+    let retag = |mut bytes: Vec<u8>| {
+        assert_eq!(bytes[at], 0, "specs always write workload byte 0");
+        bytes[at] = 1;
+        bytes
+    };
+    let open = StreamOpen {
+        tenant: req.tenant.clone(),
+        spec: req.spec.clone(),
+        width: req.frame.width,
+        height: req.frame.height,
+        want_frame: false,
+    };
+
+    let (_daemon, addr) = start_tcp_daemon();
+    for (how, kind, payload, version) in [
+        ("v1 job", MsgKind::Job, retag(req.encode()), MIN_VERSION),
+        ("v2 job", MsgKind::Job, retag(req.encode()), VERSION),
+        (
+            "v2 StreamOpen",
+            MsgKind::StreamOpen,
+            retag(open.encode()),
+            VERSION,
+        ),
+    ] {
+        let (reply, reply_version, body) = exchange(&addr, kind, &payload, version);
+        assert_eq!(reply, MsgKind::JobErr, "{how}: typed error frame");
+        assert_eq!(reply_version, version, "{how}: reply echoes the dialect");
+        match JobError::decode(&body).expect("well-formed JobError") {
+            JobError::Malformed(detail) => {
+                assert!(detail.contains("workload"), "{how}: {detail}")
+            }
+            other => panic!("{how}: expected Malformed, got {other:?}"),
+        }
+    }
+
+    // A fresh connection still lands a window golden.
+    let mut client = Client::connect(&Listen::Tcp(addr)).expect("client connects");
+    let resp = client.submit(&req).expect("window job after the rejects");
+    assert_eq!(resp.digest, want_digest);
 }

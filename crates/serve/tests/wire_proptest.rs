@@ -6,7 +6,6 @@
 use proptest::prelude::*;
 use sw_core::codec::LineCodecKind;
 use sw_core::config::ThresholdPolicy;
-use sw_core::integral::Workload;
 use sw_core::memory_unit::OverflowPolicy;
 use sw_serve::api::{FramePayload, JobKernel, RowAck, RowChunk, StreamOpen};
 use sw_serve::wire::{decode_frame_body, write_frame, write_frame_versioned, ByteReader, MsgKind};
@@ -19,7 +18,6 @@ use sw_serve::{
 fn spec_from_seed(seed: u64) -> JobSpec {
     let pick = |n: u64, m: usize| ((seed >> n) as usize) % m;
     JobSpec {
-        workload: Workload::ALL[pick(0, Workload::ALL.len())],
         window: 2 * (1 + pick(2, 16)),
         threshold: (seed >> 7 & 0x1f) as i16,
         policy: ThresholdPolicy::ALL[pick(12, ThresholdPolicy::ALL.len())],
@@ -64,7 +62,6 @@ fn request_from_seed(seed: u64, w: usize, h: usize) -> JobRequest {
 fn response_from_seed(seed: u64) -> JobResponse {
     let b = |n: u64| seed.rotate_left(n as u32);
     JobResponse {
-        workload: Workload::ALL[(seed & 1) as usize],
         digest: b(1),
         stats_digest: b(2),
         out_width: (b(3) % 4096) as u32,
@@ -347,6 +344,34 @@ proptest! {
                 }
             }
         }
+    }
+
+    /// The v1/v2 workload byte is reserved: a spec always encodes it as 0
+    /// (it leads the spec, right after the u32-length-prefixed tenant; it
+    /// leads a response), and every non-zero byte — 1 named the retired
+    /// integral workload — decodes to a typed `BadTag`.
+    #[test]
+    fn workload_byte_is_zero_and_non_zero_is_a_bad_tag(seed in any::<u64>(), tag in 1u8..=255) {
+        let req = request_from_seed(seed, 4, 3);
+        let open = stream_open_from_seed(seed);
+        let resp = response_from_seed(seed);
+        let bad_tag = |r: Result<(), WireError>| {
+            matches!(r, Err(WireError::BadTag { what: "workload", tag: t }) if t == u32::from(tag))
+        };
+        let mut bytes = req.encode();
+        let at = 4 + req.tenant.len();
+        prop_assert_eq!(bytes[at], 0);
+        bytes[at] = tag;
+        prop_assert!(bad_tag(JobRequest::decode(&bytes).map(drop)));
+        let mut bytes = open.encode();
+        let at = 4 + open.tenant.len();
+        prop_assert_eq!(bytes[at], 0);
+        bytes[at] = tag;
+        prop_assert!(bad_tag(StreamOpen::decode(&bytes).map(drop)));
+        let mut bytes = resp.encode();
+        prop_assert_eq!(bytes[0], 0);
+        bytes[0] = tag;
+        prop_assert!(bad_tag(JobResponse::decode(&bytes).map(drop)));
     }
 
     /// Job errors round-trip through their wire form.

@@ -11,7 +11,7 @@
 //! (Figure 5) is one adder, one subtractor and one shifter; this module is the
 //! cycle-free functional model of that block.
 
-use crate::{Coeff, Pixel, Sample};
+use crate::{Coeff, Pixel};
 
 /// Forward 1-D integer Haar transform of one sample pair.
 ///
@@ -141,13 +141,13 @@ pub const fn stage_max_abs(pixel_bits: u32, stage: u32) -> i64 {
     (((1u64 << pixel_bits) - 1) << (stage - 1)) as i64
 }
 
-/// Widest unsigned pixel a coefficient word of `S::BITS` bits can carry
-/// through two cascaded lifting stages without overflow.
+/// Widest unsigned pixel the 16-bit [`Coeff`] word can carry through two
+/// cascaded lifting stages without overflow.
 ///
-/// Requires `stage_max_abs(p, 2) = 2·(2^p − 1) ≤ 2^(BITS−1) − 1`, i.e.
-/// `p ≤ BITS − 2`: 14-bit pixels for `i16`, 30-bit for `i32`.
-pub const fn max_pixel_bits<S: Sample>() -> u32 {
-    S::BITS - 2
+/// Requires `stage_max_abs(p, 2) = 2·(2^p − 1) ≤ 2^15 − 1`, i.e.
+/// `p ≤ 16 − 2 = 14`.
+pub const fn max_pixel_bits() -> u32 {
+    Coeff::BITS - 2
 }
 
 /// Largest magnitude a first-stage Haar coefficient can take for `u8` input.
@@ -161,7 +161,7 @@ pub const STAGE2_MAX_ABS: Coeff = stage_max_abs(Pixel::BITS, 2) as Coeff;
 
 // Compile-time headroom proof: two cascaded stages on full-range pixels stay
 // strictly inside the narrow coefficient word, as `max_pixel_bits` promises.
-const _: () = assert!(Pixel::BITS <= max_pixel_bits::<Coeff>());
+const _: () = assert!(Pixel::BITS <= max_pixel_bits());
 const _: () = assert!(STAGE2_MAX_ABS as i64 <= Coeff::MAX as i64);
 
 #[cfg(test)]
@@ -253,55 +253,46 @@ mod tests {
     fn derived_bounds_match_historical_literals() {
         assert_eq!(STAGE1_MAX_ABS, 255);
         assert_eq!(STAGE2_MAX_ABS, 510);
-        assert_eq!(max_pixel_bits::<i16>(), 14);
-        assert_eq!(max_pixel_bits::<i32>(), 30);
+        assert_eq!(max_pixel_bits(), 14);
     }
 
-    /// Property test: at the widest pixel each instance admits
-    /// ([`max_pixel_bits`]), two cascaded lifting stages never overflow the
-    /// coefficient word — every add/sub is checked, and the outputs stay
-    /// inside the [`stage_max_abs`] envelopes the constants are derived from.
+    /// Property test: at the widest pixel the coefficient word admits
+    /// ([`max_pixel_bits`]), two cascaded lifting stages never overflow —
+    /// every add/sub is checked, and the outputs stay inside the
+    /// [`stage_max_abs`] envelopes the constants are derived from.
     #[test]
-    fn lifting_never_overflows_at_either_width_extremes() {
-        fn check<S: Sample>() {
-            let p = max_pixel_bits::<S>();
-            let pix_max = stage_max_abs(p, 1);
-            // Exact corners plus a deterministic xorshift sample of the
-            // pixel range.
-            let mut inputs = vec![0, 1, pix_max / 2, pix_max - 1, pix_max];
-            let mut s = 0x5eed_0000_0000_0001u64 ^ u64::from(S::BITS);
-            for _ in 0..11 {
-                s ^= s << 13;
-                s ^= s >> 7;
-                s ^= s << 17;
-                inputs.push((s % (pix_max as u64 + 1)) as i64);
-            }
-            let mut highs = Vec::new();
-            for &a in &inputs {
-                for &b in &inputs {
-                    let (x0, x1) = (S::from_i64(a), S::from_i64(b));
-                    let h = x0.checked_sub(x1).expect("stage-1 difference overflowed");
-                    let l = x1
-                        .checked_add(h.asr1())
-                        .expect("stage-1 average overflowed");
-                    assert!(h.to_i64().abs() <= stage_max_abs(p, 1), "H({a},{b})");
-                    assert!((0..=pix_max).contains(&l.to_i64()), "L({a},{b})");
-                    highs.push(h);
-                }
-            }
-            // The second (2-D) stage differences two first-stage coefficients.
-            for &h0 in &highs {
-                for &h1 in &highs {
-                    let hh = h0.checked_sub(h1).expect("stage-2 difference overflowed");
-                    let lh = h1
-                        .checked_add(hh.asr1())
-                        .expect("stage-2 average overflowed");
-                    assert!(hh.to_i64().abs() <= stage_max_abs(p, 2));
-                    assert!(lh.to_i64().abs() <= stage_max_abs(p, 1));
-                }
+    fn lifting_never_overflows_at_the_widest_pixel() {
+        let p = max_pixel_bits();
+        let pix_max = stage_max_abs(p, 1);
+        // Exact corners plus a deterministic xorshift sample of the pixel
+        // range.
+        let mut inputs = vec![0, 1, pix_max / 2, pix_max - 1, pix_max];
+        let mut s = 0x5eed_0000_0000_0001u64 ^ u64::from(Coeff::BITS);
+        for _ in 0..11 {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            inputs.push((s % (pix_max as u64 + 1)) as i64);
+        }
+        let mut highs = Vec::new();
+        for &a in &inputs {
+            for &b in &inputs {
+                let (x0, x1) = (a as Coeff, b as Coeff);
+                let h = x0.checked_sub(x1).expect("stage-1 difference overflowed");
+                let l = x1.checked_add(h >> 1).expect("stage-1 average overflowed");
+                assert!(i64::from(h).abs() <= stage_max_abs(p, 1), "H({a},{b})");
+                assert!((0..=pix_max).contains(&i64::from(l)), "L({a},{b})");
+                highs.push(h);
             }
         }
-        check::<i16>();
-        check::<i32>();
+        // The second (2-D) stage differences two first-stage coefficients.
+        for &h0 in &highs {
+            for &h1 in &highs {
+                let hh = h0.checked_sub(h1).expect("stage-2 difference overflowed");
+                let lh = h1.checked_add(hh >> 1).expect("stage-2 average overflowed");
+                assert!(i64::from(hh).abs() <= stage_max_abs(p, 2));
+                assert!(i64::from(lh).abs() <= stage_max_abs(p, 1));
+            }
+        }
     }
 }

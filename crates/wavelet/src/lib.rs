@@ -45,7 +45,6 @@ pub mod haar;
 pub mod haar2d;
 pub mod legall;
 pub mod multilevel;
-pub mod sample;
 pub mod subband;
 pub mod swar;
 
@@ -53,7 +52,6 @@ pub use haar::{haar_fwd_pair, haar_inv_pair, HaarLifter};
 pub use haar2d::{
     haar2d_fwd_quad, haar2d_inv_quad, ColumnPairInverse, ColumnPairTransformer, Quad,
 };
-pub use sample::Sample;
 pub use subband::{SubBand, SubbandPlanes};
 
 /// Integer type carrying wavelet coefficients.

@@ -3,181 +3,30 @@
 //!
 //! The paper's register model (Figures 5–6) packs coefficients into
 //! fixed-width lanes so one hardware word carries several samples. These
-//! kernels do the same in software, generically over the [`Sample`]
-//! width: four 16-bit lanes per `u64` for the paper's datapath, two
-//! 32-bit lanes for the wide (integral-image) instance, with carry
-//! propagation masked at lane boundaries so a single integer add/subtract
-//! performs [`Sample::LANES`] independent operations.
+//! kernels do the same in software: four 16-bit [`Coeff`] lanes per `u64`,
+//! with carry propagation masked at lane boundaries so a single integer
+//! add/subtract performs four independent operations.
 //!
 //! Every kernel is **bit-identical** to its scalar twin under wrapping
 //! semantics (and therefore to release-mode scalar code on all inputs, and
 //! to debug-mode scalar code on the codec's bounded coefficient domain).
 //! The `hot_path_equivalence` test battery and the conformance corpus pin
-//! this equivalence; the i16 entry points below are the width-specialized
-//! faces of the generic kernels and did not change behaviour.
+//! this equivalence.
 
-use crate::sample::Sample;
 use crate::Coeff;
 
-/// Load [`Sample::LANES`] consecutive samples into one word, lane 0 in
-/// the low bits.
-#[inline]
-pub fn load_lanes<S: Sample>(s: &[S]) -> u64 {
-    let mut w = 0u64;
-    for (lane, &v) in s[..S::LANES].iter().enumerate() {
-        w |= v.to_raw() << (lane as u32 * S::LANE_BITS);
-    }
-    w
-}
-
-/// Store [`Sample::LANES`] lanes to consecutive samples.
-#[inline]
-pub fn store_lanes<S: Sample>(w: u64, d: &mut [S]) {
-    for (lane, v) in d[..S::LANES].iter_mut().enumerate() {
-        *v = S::from_raw(w >> (lane as u32 * S::LANE_BITS));
-    }
-}
-
-/// [`Sample::LANES`] independent wrapping lane additions in one word.
-///
-/// Carries are confined to their lane: the low bits add with the sign
-/// bits masked off, then the sign bits are recombined by XOR (a
-/// half-adder at the lane's top bit, which is exactly wrapping
-/// addition's top bit).
-#[inline]
-pub fn lanes_add<S: Sample>(x: u64, y: u64) -> u64 {
-    ((x & S::LOW_MASK) + (y & S::LOW_MASK)) ^ ((x ^ y) & S::SIGN_MASK)
-}
-
-/// [`Sample::LANES`] independent wrapping lane subtractions (`x − y`).
-#[inline]
-pub fn lanes_sub<S: Sample>(x: u64, y: u64) -> u64 {
-    ((x | S::SIGN_MASK) - (y & S::LOW_MASK)) ^ ((x ^ !y) & S::SIGN_MASK)
-}
-
-/// Per-lane arithmetic shift right by one (the paper's divide-by-two).
-#[inline]
-pub fn lanes_asr1<S: Sample>(x: u64) -> u64 {
-    ((x >> 1) & S::LOW_MASK) | (x & S::SIGN_MASK)
-}
-
-/// Per-lane `floor((a + b) / 2)`, overflow-free: the exact average always
-/// fits the lane even when `a + b` would not.
-#[inline]
-pub fn lanes_avg_floor<S: Sample>(a: u64, b: u64) -> u64 {
-    lanes_add::<S>(a & b, lanes_asr1::<S>(a ^ b))
-}
-
-/// Element-wise forward Haar lifting over sample slices of any width:
-/// for every `k`, `low[k] = x1[k] + ((x0[k] − x1[k]) >> 1)` and
-/// `high[k] = x0[k] − x1[k]` under wrapping semantics.
-/// [`Sample::LANES`] lanes per step, scalar wrapping tail.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-pub fn haar_fwd_slices_of<S: Sample>(x0: &[S], x1: &[S], low: &mut [S], high: &mut [S]) {
-    let n = x0.len();
-    assert!(
-        x1.len() == n && low.len() == n && high.len() == n,
-        "slice length mismatch"
-    );
-    let mut k = 0;
-    while k + S::LANES <= n {
-        let a = load_lanes(&x0[k..]);
-        let b = load_lanes(&x1[k..]);
-        let h = lanes_sub::<S>(a, b);
-        let l = lanes_add::<S>(b, lanes_asr1::<S>(h));
-        store_lanes(l, &mut low[k..]);
-        store_lanes(h, &mut high[k..]);
-        k += S::LANES;
-    }
-    while k < n {
-        let h = x0[k].wrapping_sub(x1[k]);
-        low[k] = x1[k].wrapping_add(h.asr1());
-        high[k] = h;
-        k += 1;
-    }
-}
-
-/// Element-wise inverse Haar lifting over sample slices of any width:
-/// the exact inverse of [`haar_fwd_slices_of`] under wrapping semantics.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-pub fn haar_inv_slices_of<S: Sample>(low: &[S], high: &[S], x0: &mut [S], x1: &mut [S]) {
-    let n = low.len();
-    assert!(
-        high.len() == n && x0.len() == n && x1.len() == n,
-        "slice length mismatch"
-    );
-    let mut k = 0;
-    while k + S::LANES <= n {
-        let l = load_lanes(&low[k..]);
-        let h = load_lanes(&high[k..]);
-        let b = lanes_sub::<S>(l, lanes_asr1::<S>(h));
-        let a = lanes_add::<S>(b, h);
-        store_lanes(a, &mut x0[k..]);
-        store_lanes(b, &mut x1[k..]);
-        k += S::LANES;
-    }
-    while k < n {
-        let b = low[k].wrapping_sub(high[k].asr1());
-        x0[k] = b.wrapping_add(high[k]);
-        x1[k] = b;
-        k += 1;
-    }
-}
-
-/// Element-wise wrapping lane addition over whole slices
-/// (`out[k] = a[k] + b[k]`), [`Sample::LANES`] lanes per step — the
-/// SWAR form of the integral engine's line reconstruction
-/// `II(y) = II(y−1) + rs(y)`.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-pub fn add_slices_of<S: Sample>(a: &[S], b: &[S], out: &mut [S]) {
-    let n = a.len();
-    assert!(b.len() == n && out.len() == n, "slice length mismatch");
-    let mut k = 0;
-    while k + S::LANES <= n {
-        let w = lanes_add::<S>(load_lanes(&a[k..]), load_lanes(&b[k..]));
-        store_lanes(w, &mut out[k..]);
-        k += S::LANES;
-    }
-    while k < n {
-        out[k] = a[k].wrapping_add(b[k]);
-        k += 1;
-    }
-}
-
-/// Element-wise wrapping lane subtraction over whole slices
-/// (`out[k] = a[k] − b[k]`) — the SWAR form of the integral engine's
-/// delta-from-previous-line prediction `rs(y) = II(y) − II(y−1)`.
-///
-/// # Panics
-///
-/// Panics if the slices differ in length.
-pub fn sub_slices_of<S: Sample>(a: &[S], b: &[S], out: &mut [S]) {
-    let n = a.len();
-    assert!(b.len() == n && out.len() == n, "slice length mismatch");
-    let mut k = 0;
-    while k + S::LANES <= n {
-        let w = lanes_sub::<S>(load_lanes(&a[k..]), load_lanes(&b[k..]));
-        store_lanes(w, &mut out[k..]);
-        k += S::LANES;
-    }
-    while k < n {
-        out[k] = a[k].wrapping_sub(b[k]);
-        k += 1;
-    }
-}
+/// Per-lane sign-bit mask (bit 15 of every 16-bit lane).
+const SIGN_MASK: u64 = 0x8000_8000_8000_8000;
+/// Per-lane mask of every bit below the sign bit.
+const LOW_MASK: u64 = 0x7fff_7fff_7fff_7fff;
+/// The value 1 in every lane.
+pub const LANE_ONE: u64 = 0x0001_0001_0001_0001;
+/// All ones in lane 0, zero elsewhere (the lane-fold mask).
+pub const LANE0_MASK: u64 = 0xffff;
 
 /// Load four consecutive coefficients into one word, lane 0 in bits 0..16.
 #[inline]
-fn load4(s: &[Coeff]) -> u64 {
+pub fn load4(s: &[Coeff]) -> u64 {
     (s[0] as u16 as u64)
         | (s[1] as u16 as u64) << 16
         | (s[2] as u16 as u64) << 32
@@ -229,54 +78,97 @@ fn store4_odd(w: u64, d: &mut [Coeff]) {
     d[7] = (w >> 48) as u16 as Coeff;
 }
 
-/// Four independent wrapping 16-bit additions in one word — the i16
-/// specialization of [`lanes_add`].
+/// Four independent wrapping 16-bit additions in one word.
+///
+/// Carries are confined to their lane: the low bits add with the sign
+/// bits masked off, then the sign bits are recombined by XOR (a
+/// half-adder at the lane's top bit, which is exactly wrapping
+/// addition's top bit).
 #[inline]
 pub fn add16(x: u64, y: u64) -> u64 {
-    lanes_add::<Coeff>(x, y)
+    ((x & LOW_MASK) + (y & LOW_MASK)) ^ ((x ^ y) & SIGN_MASK)
 }
 
-/// Four independent wrapping 16-bit subtractions (`x − y`) in one word —
-/// the i16 specialization of [`lanes_sub`].
+/// Four independent wrapping 16-bit subtractions (`x − y`) in one word.
 #[inline]
 pub fn sub16(x: u64, y: u64) -> u64 {
-    lanes_sub::<Coeff>(x, y)
+    ((x | SIGN_MASK) - (y & LOW_MASK)) ^ ((x ^ !y) & SIGN_MASK)
 }
 
 /// Four independent per-lane arithmetic shifts right by one (`>> 1` on i16,
-/// the paper's divide-by-two) — the i16 specialization of [`lanes_asr1`].
+/// the paper's divide-by-two).
 #[inline]
 pub fn asr1(x: u64) -> u64 {
-    lanes_asr1::<Coeff>(x)
+    ((x >> 1) & LOW_MASK) | (x & SIGN_MASK)
 }
 
 /// Four independent `floor((a + b) / 2)` on i16 lanes, overflow-free: the
 /// exact average always fits in i16 even when `a + b` would not.
 #[inline]
 pub fn avg_floor16(a: u64, b: u64) -> u64 {
-    lanes_avg_floor::<Coeff>(a, b)
+    add16(a & b, asr1(a ^ b))
 }
 
 /// Element-wise forward Haar lifting over slices: for every `k`,
 /// `(low[k], high[k]) = haar_fwd_pair(x0[k], x1[k])` under wrapping
-/// semantics — the i16 specialization of [`haar_fwd_slices_of`].
+/// semantics. Four lanes per step, scalar wrapping tail.
 ///
 /// # Panics
 ///
 /// Panics if the slices differ in length.
 pub fn haar_fwd_slices(x0: &[Coeff], x1: &[Coeff], low: &mut [Coeff], high: &mut [Coeff]) {
-    haar_fwd_slices_of::<Coeff>(x0, x1, low, high);
+    let n = x0.len();
+    assert!(
+        x1.len() == n && low.len() == n && high.len() == n,
+        "slice length mismatch"
+    );
+    let mut k = 0;
+    while k + 4 <= n {
+        let a = load4(&x0[k..]);
+        let b = load4(&x1[k..]);
+        let h = sub16(a, b);
+        let l = add16(b, asr1(h));
+        store4(l, &mut low[k..]);
+        store4(h, &mut high[k..]);
+        k += 4;
+    }
+    while k < n {
+        let h = x0[k].wrapping_sub(x1[k]);
+        low[k] = x1[k].wrapping_add(h >> 1);
+        high[k] = h;
+        k += 1;
+    }
 }
 
 /// Element-wise inverse Haar lifting: for every `k`,
 /// `(x0[k], x1[k]) = haar_inv_pair(low[k], high[k])` under wrapping
-/// semantics — the i16 specialization of [`haar_inv_slices_of`].
+/// semantics — the exact inverse of [`haar_fwd_slices`].
 ///
 /// # Panics
 ///
 /// Panics if the slices differ in length.
 pub fn haar_inv_slices(low: &[Coeff], high: &[Coeff], x0: &mut [Coeff], x1: &mut [Coeff]) {
-    haar_inv_slices_of::<Coeff>(low, high, x0, x1);
+    let n = low.len();
+    assert!(
+        high.len() == n && x0.len() == n && x1.len() == n,
+        "slice length mismatch"
+    );
+    let mut k = 0;
+    while k + 4 <= n {
+        let l = load4(&low[k..]);
+        let h = load4(&high[k..]);
+        let b = sub16(l, asr1(h));
+        let a = add16(b, h);
+        store4(a, &mut x0[k..]);
+        store4(b, &mut x1[k..]);
+        k += 4;
+    }
+    while k < n {
+        let b = low[k].wrapping_sub(high[k] >> 1);
+        x0[k] = b.wrapping_add(high[k]);
+        x1[k] = b;
+        k += 1;
+    }
 }
 
 /// Forward Haar over an interleaved column: pairs `(column[2k],
@@ -340,9 +232,6 @@ pub fn haar_inv_interleaved(low: &[Coeff], high: &[Coeff], column: &mut [Coeff])
     }
 }
 
-/// Per-lane all-ones constant used by the 5/3 update step.
-const ONE: u64 = 0x0001_0001_0001_0001;
-
 /// Bit-sliced forward LeGall 5/3 of an **even-length** signal. Odd lengths
 /// delegate to the scalar [`crate::legall::legall53_forward`] (the streaming
 /// architecture only ever transforms even window heights).
@@ -394,7 +283,7 @@ pub fn legall53_fwd_sliced(x: &[Coeff], low: &mut [Coeff], high: &mut [Coeff]) {
         let even = load4_even(&x[2 * k..]);
         let dm1 = load4(&high[k - 1..]);
         let d = load4(&high[k..]);
-        let q = avg_floor16(avg_floor16(dm1, d), ONE);
+        let q = avg_floor16(avg_floor16(dm1, d), LANE_ONE);
         store4(add16(even, q), &mut low[k..]);
         k += 4;
     }
@@ -431,7 +320,7 @@ pub fn legall53_inv_sliced(low: &[Coeff], high: &[Coeff], x: &mut [Coeff]) {
         let lo = load4(&low[k..]);
         let dm1 = load4(&high[k - 1..]);
         let d = load4(&high[k..]);
-        let q = avg_floor16(avg_floor16(dm1, d), ONE);
+        let q = avg_floor16(avg_floor16(dm1, d), LANE_ONE);
         store4_even(sub16(lo, q), &mut x[2 * k..]);
         k += 4;
     }
@@ -500,102 +389,6 @@ mod tests {
                 assert_eq!(avg[i], exact, "avg lane {i}: {} {}", a[i], b[i]);
             }
         }
-    }
-
-    #[test]
-    fn wide_lane_primitives_match_scalar_wrapping_ops() {
-        // The 2×32-bit instance of the same lane algebra, across the full
-        // i32 range including both extremes in both lane positions.
-        let mut s = 0x8f3a_11bb_u32;
-        let mut rnd = move || xorshift(&mut s) as i32;
-        let mut cases: Vec<[i32; 2]> = (0..2000).map(|_| [rnd(), rnd()]).collect();
-        cases.push([i32::MIN, i32::MAX]);
-        cases.push([i32::MAX, i32::MIN]);
-        cases.push([-1, 0]);
-        for pair in cases.windows(2) {
-            let (a, b) = (pair[0], pair[1]);
-            let wa = load_lanes::<i32>(&a);
-            let wb = load_lanes::<i32>(&b);
-            let mut add = [0i32; 2];
-            let mut sub = [0i32; 2];
-            let mut shr = [0i32; 2];
-            let mut avg = [0i32; 2];
-            store_lanes(lanes_add::<i32>(wa, wb), &mut add);
-            store_lanes(lanes_sub::<i32>(wa, wb), &mut sub);
-            store_lanes(lanes_asr1::<i32>(wa), &mut shr);
-            store_lanes(lanes_avg_floor::<i32>(wa, wb), &mut avg);
-            for i in 0..2 {
-                assert_eq!(add[i], a[i].wrapping_add(b[i]), "add lane {i}");
-                assert_eq!(sub[i], a[i].wrapping_sub(b[i]), "sub lane {i}");
-                assert_eq!(shr[i], a[i] >> 1, "asr lane {i}");
-                let exact = ((a[i] as i64 + b[i] as i64) >> 1) as i32;
-                assert_eq!(avg[i], exact, "avg lane {i}: {} {}", a[i], b[i]);
-            }
-        }
-    }
-
-    #[test]
-    fn wide_haar_slices_roundtrip_at_prefix_sum_magnitudes() {
-        // The wide instance carries integral-image prefix sums (≤ 255·W,
-        // 21 bits at W = 2048); the generic lifting must round-trip there
-        // and at the i32 extremes under wrapping semantics.
-        let mut s = 0x77aa_00ff_u32;
-        for len in [0usize, 1, 2, 3, 5, 8, 17, 64] {
-            let mut x0: Vec<i32> = (0..len)
-                .map(|_| {
-                    s ^= s << 13;
-                    s ^= s >> 17;
-                    s ^= s << 5;
-                    (s % 522_240) as i32
-                })
-                .collect();
-            let x1: Vec<i32> = (0..len)
-                .map(|_| {
-                    s ^= s << 13;
-                    s ^= s >> 17;
-                    s ^= s << 5;
-                    (s % 522_240) as i32
-                })
-                .collect();
-            if len > 2 {
-                x0[0] = i32::MIN;
-                x0[1] = i32::MAX;
-            }
-            let mut low = vec![0i32; len];
-            let mut high = vec![0i32; len];
-            haar_fwd_slices_of::<i32>(&x0, &x1, &mut low, &mut high);
-            for k in 0..len {
-                let h = x0[k].wrapping_sub(x1[k]);
-                let l = x1[k].wrapping_add(h >> 1);
-                assert_eq!((low[k], high[k]), (l, h), "fwd k={k}");
-            }
-            let mut r0 = vec![0i32; len];
-            let mut r1 = vec![0i32; len];
-            haar_inv_slices_of::<i32>(&low, &high, &mut r0, &mut r1);
-            assert_eq!(r0, x0, "inverse x0");
-            assert_eq!(r1, x1, "inverse x1");
-        }
-    }
-
-    #[test]
-    fn slice_add_sub_match_scalar_for_both_widths() {
-        fn check<S: crate::sample::Sample>(vals: &[i64]) {
-            let a: Vec<S> = vals.iter().map(|&v| S::from_raw(v as u64)).collect();
-            let b: Vec<S> = vals.iter().rev().map(|&v| S::from_raw(v as u64)).collect();
-            let mut sum = vec![S::ZERO; a.len()];
-            let mut diff = vec![S::ZERO; a.len()];
-            add_slices_of::<S>(&a, &b, &mut sum);
-            sub_slices_of::<S>(&a, &b, &mut diff);
-            for k in 0..a.len() {
-                assert_eq!(sum[k], a[k].wrapping_add(b[k]), "add k={k}");
-                assert_eq!(diff[k], a[k].wrapping_sub(b[k]), "sub k={k}");
-            }
-        }
-        let vals: Vec<i64> = (0..23)
-            .map(|i| (i * 0x9e37_79b9_7f4a) ^ (i << 40))
-            .collect();
-        check::<i16>(&vals);
-        check::<i32>(&vals);
     }
 
     #[test]

@@ -53,15 +53,14 @@ usage:
               [--codec C] [--metrics-out FILE.json] [--trace FILE.jsonl]
               [--trace-chrome FILE.json] [--flame] [--jobs N]
               [--overflow-policy fail|stall|degrade] [--budget-fraction F]
-              [--fault-seed N] [--workload window|integral]
+              [--fault-seed N]
   swc plan    <image.pgm> --window N [--threshold T]
   swc sweep   <image.pgm> --window N [--codec C] [--metrics-out FILE.json] [--jobs N]
               [--overflow-policy fail|stall|degrade] [--budget-fraction F]
-              [--fault-seed N] [--workload window|integral]
+              [--fault-seed N]
   swc scene   <name|index> <out.pgm> [--size WxH]
   swc conform [--all] [--bless] [--fuzz N] [--seed S] [--vectors DIR]
   swc bench   [--json] [--quick] [--out FILE] [--jobs N]
-              [--workload window|integral]
   swc bench   --compare BASE.json NEW.json [--max-loss PCT] [--warn-only]
   swc serve   --listen tcp:HOST:PORT|unix:PATH [--jobs N]
               [--tenant-budget-mbits M] [--tenant-policy fail|stall|degrade]
@@ -101,14 +100,6 @@ seeded faults (payload/BitMap/NBits bit-flips); detected corruption
 exits with a decode error, undetected corruption is reported as
 reconstruction MSE.
 
---workload selects what runs: 'window' (default) is the paper's sliding
-window datapath on 16-bit coefficients; 'integral' streams the image
-through the wide (i32) integral-image line-buffer engine — analyze prints
-its packing report (segment length = --window), sweep sweeps the segment
-granularity, bench times the integral/wide/{seq,par} cells. The integral
-workload is inherently lossless, so --threshold/--codec and the memory
-unit/fault knobs do not apply.
-
 swc conform runs the conformance harness: --all checks the checked-in
 golden vectors and runs the differential oracle battery over the whole
 corpus grid plus any shrunk fuzz reproducers (the battery diffs the
@@ -129,7 +120,7 @@ telemetry registry including the serve.* family.
 
 swc client submits one frame-processing job (the same job flags as
 analyze: --window/--threshold/--policy/--codec/--kernel/--jobs/
---overflow-policy/--budget-fraction/--workload) and prints the typed
+--overflow-policy/--budget-fraction) and prints the typed
 response; --out writes the processed frame back as PGM. --stream submits
 the job in the protocol-v2 row-streaming mode: a StreamOpen header, the
 frame pipelined as RowChunk frames of --chunk-rows rows (default 8)
@@ -174,10 +165,6 @@ impl Opts {
 
     fn threshold(&self) -> i16 {
         self.spec.threshold()
-    }
-
-    fn workload(&self) -> Workload {
-        self.spec.workload()
     }
 
     fn codec(&self) -> LineCodecKind {
@@ -385,7 +372,6 @@ fn bench(args: &[String]) -> Result<(), String> {
     let mut compare_paths: Option<(PathBuf, PathBuf)> = None;
     let mut max_loss_pct = 10.0f64;
     let mut warn_only = false;
-    let mut workload: Option<Workload> = None;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -406,20 +392,13 @@ fn bench(args: &[String]) -> Result<(), String> {
                 }
             }
             "--warn-only" => warn_only = true,
-            "--workload" => {
-                let v = next(args, &mut i)?;
-                workload = Some(
-                    Workload::parse(v)
-                        .ok_or_else(|| format!("unknown workload '{v}' (window, integral)"))?,
-                );
-            }
             other => return Err(format!("unknown option '{other}'")),
         }
         i += 1;
     }
 
     if let Some((base_path, new_path)) = compare_paths {
-        if json_out || quick || out.is_some() || jobs.is_some() || workload.is_some() {
+        if json_out || quick || out.is_some() || jobs.is_some() {
             return Err("--compare takes only --max-loss and --warn-only".into());
         }
         let load = |p: &Path| -> Result<perf::BenchReport, String> {
@@ -439,28 +418,20 @@ fn bench(args: &[String]) -> Result<(), String> {
     }
 
     let jobs = jobs.unwrap_or_else(default_jobs);
-    let workload = workload.unwrap_or_default();
     let settings = if quick {
         perf::BenchSettings::quick(jobs)
     } else {
         perf::BenchSettings::full(jobs)
     };
-    let cell_count = match workload {
-        Workload::Window => perf::matrix_cell_ids().len(),
-        Workload::Integral => perf::integral_cell_ids().len(),
-    };
     eprintln!(
-        "bench: {} workload, {cell_count} cells, {}x{} frame, {} timed frames/cell, {jobs} jobs{}",
-        workload.name(),
+        "bench: {} cells, {}x{} frame, {} timed frames/cell, {jobs} jobs{}",
+        perf::matrix_cell_ids().len(),
         settings.width,
         settings.height,
         settings.frames,
         if quick { " (quick)" } else { "" }
     );
-    let report = match workload {
-        Workload::Window => perf::run_matrix(&settings, &perf::utc_date_string())?,
-        Workload::Integral => perf::run_integral_matrix(&settings, &perf::utc_date_string())?,
-    };
+    let report = perf::run_matrix(&settings, &perf::utc_date_string())?;
     println!("cell                       Mpix/s      p50 ms      p99 ms    KB packed  prof/p50");
     for c in &report.cells {
         let prof = c
@@ -497,82 +468,6 @@ fn bench(args: &[String]) -> Result<(), String> {
         if !quick {
             perf::check_probe_distortion(&report.cells)?;
         }
-    }
-    Ok(())
-}
-
-/// Guards shared by the integral workload: it has no threshold, codec,
-/// telemetry, or memory-unit axis — reject the knobs loudly instead of
-/// ignoring them.
-fn reject_window_only_knobs(o: &Opts) -> Result<(), String> {
-    if o.threshold() != 0 {
-        return Err(
-            "--workload integral is inherently lossless; --threshold does not apply".into(),
-        );
-    }
-    if o.codec() != LineCodecKind::Haar {
-        return Err(
-            "--codec does not apply to --workload integral (the wide column codec is fixed)".into(),
-        );
-    }
-    if o.wants_telemetry() {
-        return Err(
-            "--metrics-out/--trace/--flame are not supported by --workload integral".into(),
-        );
-    }
-    if o.wants_runtime() {
-        return Err(
-            "--overflow-policy/--fault-seed are not supported by --workload integral".into(),
-        );
-    }
-    Ok(())
-}
-
-/// `swc analyze --workload integral`: stream the image through the wide
-/// packed integral-image line buffer and print its memory accounting.
-/// Segment length is `--window`; output is identical for any --jobs
-/// (pinned by conformance).
-fn analyze_integral_cmd(img: &ImageU8, o: &Opts) -> Result<(), String> {
-    reject_window_only_knobs(o)?;
-    let cfg = IntegralConfig {
-        segment: o.window(),
-    };
-    let pool = ThreadPool::new(o.jobs().unwrap_or(1));
-    let r = analyze_integral(img, &cfg, &pool).map_err(|e| e.to_string())?;
-    println!(
-        "image {}x{}  segment {}  workload integral ({}-bit lines)",
-        r.width, r.height, r.segment, 32
-    );
-    println!(
-        "packed bits/line:     {:.1} mean, {} peak",
-        r.mean_line_bits(),
-        r.peak_line_bits
-    );
-    println!(
-        "management bits/line: {} ({} BitMap + NBits fields)",
-        r.management_bits_per_line, r.width
-    );
-    println!("raw line bits:        {}", r.raw_line_bits);
-    println!("memory saving:        {:.1}%", r.memory_saving_pct());
-    println!("integral digest:      {:016x}", r.digest);
-    Ok(())
-}
-
-/// `swc sweep --workload integral`: sweep the segment granularity instead
-/// of the threshold (the integral workload has no lossy axis).
-fn sweep_integral(img: &ImageU8, o: &Opts) -> Result<(), String> {
-    reject_window_only_knobs(o)?;
-    let pool = ThreadPool::new(o.jobs().unwrap_or(1));
-    println!("segment   saving%   peak line bits   mean line bits");
-    for segment in [2usize, 4, 8, 16, 32] {
-        let r =
-            analyze_integral(img, &IntegralConfig { segment }, &pool).map_err(|e| e.to_string())?;
-        println!(
-            "{segment:<7} {:>9.1}   {:>14}   {:>14.1}",
-            r.memory_saving_pct(),
-            r.peak_line_bits,
-            r.mean_line_bits()
-        );
     }
     Ok(())
 }
@@ -712,9 +607,6 @@ fn config(img: &ImageU8, o: &Opts) -> Result<ArchConfig, String> {
 }
 
 fn analyze(img: &ImageU8, o: &Opts) -> Result<(), String> {
-    if o.workload() == Workload::Integral {
-        return analyze_integral_cmd(img, o);
-    }
     if o.codec() != LineCodecKind::Haar {
         return analyze_codec(img, o);
     }
@@ -871,9 +763,6 @@ fn plan_cmd(img: &ImageU8, o: &Opts) -> Result<(), String> {
 }
 
 fn sweep(img: &ImageU8, o: &Opts) -> Result<(), String> {
-    if o.workload() == Workload::Integral {
-        return sweep_integral(img, o);
-    }
     let pool = o.jobs().map(ThreadPool::new);
     // Non-default codecs report the datapath's own frame stats, which only
     // a one-strip run has (they are strip-count independent anyway).
@@ -1138,8 +1027,7 @@ fn client_cmd(args: &[String]) -> Result<(), String> {
     }
     .map_err(|e| e.to_string())?;
     println!(
-        "job ok: workload {}  output {}x{}  digest {:016x}{}",
-        resp.workload.name(),
+        "job ok: output {}x{}  digest {:016x}{}",
         resp.out_width,
         resp.out_height,
         resp.digest,

@@ -83,7 +83,6 @@ pub mod prelude {
     pub use sw_core::config::{ArchConfig, ArchConfigBuilder, NBitsGranularity, ThresholdPolicy};
     pub use sw_core::error::SwError;
     pub use sw_core::faults::{FaultInjector, FaultSite, FaultSpec};
-    pub use sw_core::integral::{analyze_integral, IntegralConfig, IntegralReport, Workload};
     pub use sw_core::kernels::{
         BoxFilter, CensusTransform, Convolution, Dilate, Erode, GaussianFilter, HarrisResponse,
         LocalBinaryPattern, MedianFilter, SeparableConv, SobelMagnitude, Tap, TemplateSad,

@@ -140,6 +140,24 @@ fn compare_gate_fails_on_a_doctored_slowdown_unless_warn_only() {
 }
 
 #[test]
+fn compare_with_a_retired_integral_report_is_a_workload_mismatch() {
+    // Reports of the retired integral workload still parse; diffing one
+    // against a window trajectory is the typed mismatch, not a panic.
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let window = root.join("BENCH_2026-08-07.json");
+    let integral = root.join("crates/bench/tests/fixtures/legacy_integral_report.json");
+    let output = swc()
+        .args(["bench", "--compare"])
+        .args([window.to_str().unwrap(), integral.to_str().unwrap()])
+        .output()
+        .expect("run swc bench --compare");
+    assert!(!output.status.success(), "mismatched workloads must fail");
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(stderr.contains("workload mismatch"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}
+
+#[test]
 fn bench_rejects_flag_misuse_with_friendly_errors() {
     let cases: &[&[&str]] = &[
         &["bench", "--compare", "only-one.json"],

@@ -213,3 +213,18 @@ fn fault_seed_runs_never_panic() {
         }
     }
 }
+
+#[test]
+fn retired_workload_flag_is_an_unknown_option() {
+    let dir = temp_dir("workload");
+    let pgm = write_scene(&dir, 64, 48);
+    let out = swc(&[
+        "analyze",
+        pgm.to_str().unwrap(),
+        "--window",
+        "8",
+        "--workload",
+        "integral",
+    ]);
+    assert_friendly_failure(&out, "unknown option '--workload'");
+}
